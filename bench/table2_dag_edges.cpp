@@ -31,7 +31,8 @@ int main(int argc, char** argv) {
   const DagStats s = dag.stats();
 
   // Native per-operator timings at the tree's typical leaf level.
-  const CostModel host = CostModel::measured(*kernel, 3, 60);
+  const CostModel host =
+      CostModel::measured(*kernel, 3, 60, dt.source.domain().size);
   const CostModel paper = CostModel::paper(cli.str("kernel"));
 
   print_header("Table II: count, message size and avg execution time of DAG edges");

@@ -19,7 +19,10 @@
 #      transport sweep gated by scripts/check_bench_transport.py,
 #  10. multi-process loopback: amtfmm_launch forks real socket localities
 #      (unix + tcp, 2 and 4 processes) and amtfmm_loopback asserts
-#      multi-process == in-process == sim potentials at 1e-12.
+#      multi-process == in-process == sim potentials at 1e-12,
+#  11. resident-serve, telemetry and trace-export smokes, then a 2-second
+#      fmmbench run of every BENCHMARK.json workload, failing on a nonzero
+#      exit, correct: false or failed > 0 (scripts/check_fmmbench.py).
 #
 # Usage: scripts/check.sh [jobs]
 set -euo pipefail
@@ -154,6 +157,9 @@ python3 scripts/check_bench_serve.py \
 
 echo "== Telemetry channel, trace merge, watchdog dump =="
 python3 scripts/check_telemetry.py --build-dir build
+
+echo "== Repository benchmark smoke (every BENCHMARK.json workload) =="
+python3 scripts/check_fmmbench.py --out-dir build/bench-smoke
 
 echo "== Trace export + critical-path analysis =="
 ./build/bench/fig4_utilization --n 20000 --intervals 20 \

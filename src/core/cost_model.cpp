@@ -51,10 +51,11 @@ CostModel CostModel::paper(const std::string& kernel_name) {
 }
 
 CostModel CostModel::measured(const Kernel& kernel, int level,
-                              int points_per_box) {
+                              int points_per_box, double domain_size) {
   CostModel m;
-  const double w = 1.0 / static_cast<double>(1 << level);
-  const Vec3 cs{0.5 + 0.5 * w, 0.5 + 0.5 * w, 0.5 + 0.5 * w};
+  const double w = domain_size / static_cast<double>(1 << level);
+  const double c = 0.5 * (domain_size + w);
+  const Vec3 cs{c, c, c};
   const Vec3 ct = cs + Vec3{2.0 * w, 0, 0};
   Rng rng(1234);
   std::vector<Vec3> spts, tpts;

@@ -29,8 +29,12 @@ struct CostModel {
   }
 
   static CostModel paper(const std::string& kernel_name);
+  /// `domain_size` must be the one the kernel was set up with: the timed
+  /// boxes have edge domain_size / 2^level, so every offset lies on the
+  /// kernel's box grid.
   static CostModel measured(const Kernel& kernel, int level = 3,
-                            int points_per_box = 60);
+                            int points_per_box = 60,
+                            double domain_size = 1.0);
 };
 
 }  // namespace amtfmm

@@ -9,22 +9,6 @@
 #include "support/scratch_arena.hpp"
 
 namespace amtfmm {
-namespace {
-
-/// (-i)^m for signed integer m ((-i)^{-1} = i).  The plane-wave expansion of
-/// the conjugated-regular basis carries the signed power (verified
-/// numerically; see tests/kernels/kernel_test.cpp).
-cdouble minus_i_pow(int m) {
-  switch (((m % 4) + 4) & 3) {
-    case 0: return {1.0, 0.0};
-    case 1: return {0.0, -1.0};
-    case 2: return {-1.0, 0.0};
-    default: return {0.0, 1.0};
-  }
-}
-
-}  // namespace
-
 void LaplaceKernel::setup(double domain_size, int max_level,
                           int accuracy_digits) {
   AMTFMM_ASSERT(accuracy_digits >= 1 && accuracy_digits <= 10);
@@ -32,6 +16,19 @@ void LaplaceKernel::setup(double domain_size, int max_level,
   domain_size_ = domain_size;
   p_ = 3 * accuracy_digits;
   quad_ = make_planewave_quadrature(std::pow(10.0, -accuracy_digits - 1), 0.0);
+  // Radial part of the X operators: R_k(n, m) = lam_k^n for every m.
+  const std::size_t tri = tri_index(p_, p_) + 1;
+  std::vector<double> radial(static_cast<std::size_t>(quad_.count) * tri);
+  for (int k = 0; k < quad_.count; ++k) {
+    double ln = 1.0;
+    for (int n = 0; n <= p_; ++n) {
+      for (int m = 0; m <= n; ++m) {
+        radial[static_cast<std::size_t>(k) * tri + tri_index(n, m)] = ln;
+      }
+      ln *= quad_.lambda[static_cast<std::size_t>(k)];
+    }
+  }
+  pw_ = PlaneWaveOperators(quad_, p_, std::move(radial));
   g_multipole_.assign(sq_count(p_), 0.0);
   g_local_.assign(sq_count(p_), 0.0);
   for (int n = 0; n <= p_; ++n) {
@@ -256,115 +253,27 @@ Vec3 LaplaceKernel::l2t_grad(const CoeffVec& in, const Vec3& center, int level,
 
 void LaplaceKernel::m2i(const CoeffVec& m, int level, Axis d,
                         CoeffVec& out) const {
+  auto mrot = ScratchArena::local().coeffs();
+  fwd_[static_cast<std::size_t>(d)].apply(m, g_multipole_, 1, *mrot);
   // The Sommerfeld identity is discretized in box units; converting the
   // 1/r-dimensioned kernel back to physical units costs one 1/box_size.
-  const double inv_w = 1.0 / scale(level);
-  out.assign(quad_.total, cdouble{});
-  auto& arena = ScratchArena::local();
-  auto mrot_lease = arena.coeffs();
-  auto g_lease = arena.coeffs();
-  CoeffVec& mrot = *mrot_lease;
-  fwd_[static_cast<std::size_t>(d)].apply(m, g_multipole_, 1, mrot);
-  // G(k, mm) = sum_{n >= |mm|} lam_k^n Mrot_n^mm
-  const int s = quad_.count;
-  std::vector<cdouble>& g = *g_lease;
-  g.assign(static_cast<std::size_t>(2 * p_ + 1), cdouble{});
-  for (int k = 0; k < s; ++k) {
-    const double lam = quad_.lambda[static_cast<std::size_t>(k)];
-    for (int mm = -p_; mm <= p_; ++mm) {
-      cdouble acc{};
-      double ln = std::pow(lam, std::abs(mm));
-      for (int n = std::abs(mm); n <= p_; ++n) {
-        acc += ln * mrot[sq_index(n, mm)];
-        ln *= lam;
-      }
-      g[static_cast<std::size_t>(mm + p_)] = acc * minus_i_pow(mm);
-    }
-    const int mk = quad_.m_count[static_cast<std::size_t>(k)];
-    const std::size_t off = quad_.offset[static_cast<std::size_t>(k)];
-    const double wk = inv_w * quad_.weight[static_cast<std::size_t>(k)] / mk;
-    for (int j = 0; j < mk; ++j) {
-      const cdouble e{quad_.cos_alpha[off + static_cast<std::size_t>(j)],
-                      quad_.sin_alpha[off + static_cast<std::size_t>(j)]};
-      // sum_m g_m e^{i m alpha_j} via incremental powers
-      cdouble acc = g[static_cast<std::size_t>(p_)];
-      cdouble ep{1.0, 0.0};
-      for (int mm = 1; mm <= p_; ++mm) {
-        ep *= e;
-        acc += g[static_cast<std::size_t>(p_ + mm)] * ep +
-               g[static_cast<std::size_t>(p_ - mm)] * std::conj(ep);
-      }
-      out[off + static_cast<std::size_t>(j)] = wk * acc;
-    }
-  }
+  pw_.m2i(*mrot, 1.0 / scale(level), out);
 }
 
 void LaplaceKernel::i2i_acc(const CoeffVec& in, Axis d, const Vec3& offset,
                             int level, CoeffVec& inout) const {
-  const double w = scale(level);
-  const Vec3 o = axis_to_z(d) * offset;  // rotated-frame offset
-  // Merge legs ascend the cone; the parent->child shift leg may step back
-  // by up to half a (parent) box.  The composed source->target translation
-  // always lands in the valid z in [1,4] range.
-  AMTFMM_ASSERT_MSG(o.z / w > -1.01, "I->I translation leaves the cone");
-  const double dz = o.z / w, dx = o.x / w, dy = o.y / w;
-  for (int k = 0; k < quad_.count; ++k) {
-    const double lam = quad_.lambda[static_cast<std::size_t>(k)];
-    const double damp = std::exp(-quad_.mu[static_cast<std::size_t>(k)] * dz);
-    const int mk = quad_.m_count[static_cast<std::size_t>(k)];
-    const std::size_t off = quad_.offset[static_cast<std::size_t>(k)];
-    for (int j = 0; j < mk; ++j) {
-      const double phase =
-          lam * (dx * quad_.cos_alpha[off + static_cast<std::size_t>(j)] +
-                 dy * quad_.sin_alpha[off + static_cast<std::size_t>(j)]);
-      inout[off + static_cast<std::size_t>(j)] +=
-          in[off + static_cast<std::size_t>(j)] * damp *
-          cdouble{std::cos(phase), std::sin(phase)};
-    }
-  }
+  pw_.i2i_acc(in, d, offset, scale(level), inout);
 }
 
 void LaplaceKernel::i2l_acc(const CoeffVec& in, Axis d, int level,
                             CoeffVec& inout) const {
   (void)level;
-  // F(k, m) = sum_j W(k,j) e^{i m alpha_j}; Lrot_n^m = sum_k (-lam)^n
-  // (-i)^{|m|} F(k, m); then rotate back into the unrotated local frame.
   auto& arena = ScratchArena::local();
-  auto lrot_lease = arena.coeffs();
-  auto f_lease = arena.coeffs();
-  auto lback_lease = arena.coeffs();
-  CoeffVec& lrot = *lrot_lease;
-  lrot.assign(sq_count(p_), cdouble{});
-  std::vector<cdouble>& f = *f_lease;
-  f.assign(static_cast<std::size_t>(2 * p_ + 1), cdouble{});
-  for (int k = 0; k < quad_.count; ++k) {
-    std::fill(f.begin(), f.end(), cdouble{});
-    const int mk = quad_.m_count[static_cast<std::size_t>(k)];
-    const std::size_t off = quad_.offset[static_cast<std::size_t>(k)];
-    for (int j = 0; j < mk; ++j) {
-      const cdouble wkj = in[off + static_cast<std::size_t>(j)];
-      const cdouble e{quad_.cos_alpha[off + static_cast<std::size_t>(j)],
-                      quad_.sin_alpha[off + static_cast<std::size_t>(j)]};
-      f[static_cast<std::size_t>(p_)] += wkj;
-      cdouble ep{1.0, 0.0};
-      for (int mm = 1; mm <= p_; ++mm) {
-        ep *= e;
-        f[static_cast<std::size_t>(p_ + mm)] += wkj * ep;
-        f[static_cast<std::size_t>(p_ - mm)] += wkj * std::conj(ep);
-      }
-    }
-    const double lam = quad_.lambda[static_cast<std::size_t>(k)];
-    for (int n = 0; n <= p_; ++n) {
-      const double radial = std::pow(-lam, n);
-      for (int mm = -n; mm <= n; ++mm) {
-        lrot[sq_index(n, mm)] += radial * minus_i_pow(mm) *
-                                 f[static_cast<std::size_t>(mm + p_)];
-      }
-    }
-  }
-  CoeffVec& lback = *lback_lease;
-  inv_[static_cast<std::size_t>(d)].apply(lrot, g_local_, -1, lback);
-  for (std::size_t i = 0; i < lback.size(); ++i) inout[i] += lback[i];
+  auto lrot = arena.coeffs();
+  auto lback = arena.coeffs();
+  pw_.i2l(in, PlaneWaveLocal::kSolid, *lrot);
+  inv_[static_cast<std::size_t>(d)].apply(*lrot, g_local_, -1, *lback);
+  for (std::size_t i = 0; i < lback->size(); ++i) inout[i] += (*lback)[i];
 }
 
 }  // namespace amtfmm

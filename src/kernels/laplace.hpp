@@ -25,11 +25,10 @@ namespace amtfmm {
 ///   M2L:  Lh_j^k += (-1)^j / s * sum Mh_n^m Sh_{n+j}^{m+k}(t; s)
 ///   S2L:  Lh_j^k += q (-1)^j Sh_j^k(c - p; s) / s
 ///   L2L:  Lh'_i^l += (sc/sp)^i sum conj(Rh_{j-i}^{k-l}(u; sp)) Lh_j^k
-///   M2I:  W_d(k,j) = (w_k / M_k) sum_n lam_k^n sum_m (-i)^{|m|} e^{im a_j}
-///                    rot_d(Mh)_n^m
-///   I2I:  diagonal multiply by e^{-mu_k dz'} e^{i lam_k (dx' c + dy' s)}
-///   I2L:  Lrot_n^m = sum_k (-lam_k)^n (-i)^{|m|} sum_j W(k,j) e^{im a_j},
-///         then rotate back.
+///   M2I / I2I / I2L: the shared half-spectrum operators of
+///         math/planewave.hpp (PlaneWaveOperators) with the radial table
+///         R_k(n, m) = lam_k^n, between rotations into and out of the
+///         direction's +z frame.
 class LaplaceKernel final : public Kernel {
  public:
   std::string name() const override { return "laplace"; }
@@ -37,7 +36,7 @@ class LaplaceKernel final : public Kernel {
 
   std::size_t m_count(int) const override { return sq_count(p_); }
   std::size_t l_count(int) const override { return sq_count(p_); }
-  std::size_t x_count(int) const override { return quad_.total; }
+  std::size_t x_count(int) const override { return pw_.size(); }
   std::size_t m_wire_bytes(int) const override { return wire_bytes(p_); }
   std::size_t l_wire_bytes(int) const override { return wire_bytes(p_); }
   bool supports_merge_and_shift() const override { return true; }
@@ -101,6 +100,7 @@ class LaplaceKernel final : public Kernel {
   int p_ = 9;
   double domain_size_ = 1.0;
   PlaneWaveQuadrature quad_;
+  PlaneWaveOperators pw_;
   M2LRotationSet m2l_rot_;
   // Per distance class: F_l = l! / |nu|^{l+1} for l = 0..2p, the axial
   // irregular-solid values (level independent in box units).

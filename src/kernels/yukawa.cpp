@@ -14,15 +14,6 @@
 namespace amtfmm {
 namespace {
 
-cdouble minus_i_pow(int absm) {
-  switch (absm & 3) {
-    case 0: return {1.0, 0.0};
-    case 1: return {0.0, -1.0};
-    case 2: return {-1.0, 0.0};
-    default: return {0.0, 1.0};
-  }
-}
-
 constexpr double kTwoOverPi = 2.0 / std::numbers::pi;
 
 }  // namespace
@@ -38,7 +29,7 @@ void YukawaKernel::setup(double domain_size, int max_level,
 
   quads_.clear();
   inorm_.clear();
-  phyp_.clear();
+  pw_.clear();
   for (int l = 0; l <= max_level; ++l) {
     const double w = box_size(l);
     const double kt = kappa_ * w;
@@ -46,17 +37,23 @@ void YukawaKernel::setup(double domain_size, int max_level,
     std::vector<double> iv;
     sph_bessel_i(p_, kt, iv);
     inorm_.push_back(iv);
-    // Associated Legendre at the hyperbolic argument mu_k / kt, per node.
+    // Radial part of the X operators: R_k(n, m) = i_n(kt) P_n^m(mu_k / kt),
+    // the associated Legendre function at the hyperbolic argument.
     const PlaneWaveQuadrature& q = quads_.back();
     std::vector<double> leg;
     const std::size_t stride = tri_index(p_, p_) + 1;
     std::vector<double> tab(static_cast<std::size_t>(q.count) * stride, 0.0);
     for (int k = 0; k < q.count; ++k) {
       legendre_table(p_, q.mu[static_cast<std::size_t>(k)] / kt, leg);
-      std::copy(leg.begin(), leg.end(),
-                tab.begin() + static_cast<std::size_t>(k) * stride);
+      double* row = tab.data() + static_cast<std::size_t>(k) * stride;
+      for (int n = 0; n <= p_; ++n) {
+        for (int m = 0; m <= n; ++m) {
+          row[tri_index(n, m)] =
+              iv[static_cast<std::size_t>(n)] * leg[tri_index(n, m)];
+        }
+      }
     }
-    phyp_.push_back(std::move(tab));
+    pw_.emplace_back(q, p_, std::move(tab));
   }
 
   gamma_.assign(sq_count(p_), 0.0);
@@ -397,123 +394,34 @@ void YukawaKernel::l2l_acc(const CoeffVec& in, const Vec3& from,
 
 void YukawaKernel::m2i(const CoeffVec& m, int level, Axis d,
                        CoeffVec& out) const {
-  const int l = clamped(level);
-  const PlaneWaveQuadrature& quad = quads_[static_cast<std::size_t>(l)];
-  out.assign(quad.total, cdouble{});
-  if (quad.count == 0) return;
-  // Box-unit discretization -> physical kernel: one 1/box_size overall.
-  const double inv_w = 1.0 / box_size(l);
-  auto& arena = ScratchArena::local();
-  auto mrot_lease = arena.coeffs();
-  auto g_lease = arena.coeffs();
-  CoeffVec& mrot = *mrot_lease;
-  fwd_[static_cast<std::size_t>(d)].apply(m, g_unit_, 1, mrot);
-  const auto& norm = inorm(l);
-  const std::size_t stride = tri_index(p_, p_) + 1;
-  const double* phyp = phyp_[static_cast<std::size_t>(l)].data();
-  std::vector<cdouble>& g = *g_lease;
-  g.assign(static_cast<std::size_t>(2 * p_ + 1), cdouble{});
-  for (int k = 0; k < quad.count; ++k) {
-    const double* leg = phyp + static_cast<std::size_t>(k) * stride;
-    for (int mm = -p_; mm <= p_; ++mm) {
-      const int am = std::abs(mm);
-      cdouble acc{};
-      for (int n = am; n <= p_; ++n) {
-        acc += mrot[sq_index(n, mm)] * norm[static_cast<std::size_t>(n)] *
-               leg[tri_index(n, am)];
-      }
-      g[static_cast<std::size_t>(mm + p_)] = acc * minus_i_pow(am);
-    }
-    const int mk = quad.m_count[static_cast<std::size_t>(k)];
-    const std::size_t off = quad.offset[static_cast<std::size_t>(k)];
-    const double wk = inv_w * quad.weight[static_cast<std::size_t>(k)] / mk;
-    for (int j = 0; j < mk; ++j) {
-      const cdouble e{quad.cos_alpha[off + static_cast<std::size_t>(j)],
-                      quad.sin_alpha[off + static_cast<std::size_t>(j)]};
-      cdouble acc = g[static_cast<std::size_t>(p_)];
-      cdouble ep{1.0, 0.0};
-      for (int mm = 1; mm <= p_; ++mm) {
-        ep *= e;
-        acc += g[static_cast<std::size_t>(p_ + mm)] * ep +
-               g[static_cast<std::size_t>(p_ - mm)] * std::conj(ep);
-      }
-      out[off + static_cast<std::size_t>(j)] = wk * acc;
-    }
+  const PlaneWaveOperators& pw = pw_[static_cast<std::size_t>(clamped(level))];
+  if (pw.size() == 0) {
+    out.clear();
+    return;
   }
+  auto mrot = ScratchArena::local().coeffs();
+  fwd_[static_cast<std::size_t>(d)].apply(m, g_unit_, 1, *mrot);
+  // Box-unit discretization -> physical kernel: one 1/box_size overall.
+  pw.m2i(*mrot, 1.0 / box_size(level), out);
 }
 
 void YukawaKernel::i2i_acc(const CoeffVec& in, Axis d, const Vec3& offset,
                            int level, CoeffVec& inout) const {
-  const int l = clamped(level);
-  const PlaneWaveQuadrature& quad = quads_[static_cast<std::size_t>(l)];
-  if (quad.count == 0) return;
-  const double w = box_size(l);
-  const Vec3 o = axis_to_z(d) * offset;
-  AMTFMM_ASSERT_MSG(o.z / w > -1.01, "I->I translation leaves the cone");
-  const double dz = o.z / w, dx = o.x / w, dy = o.y / w;
-  for (int k = 0; k < quad.count; ++k) {
-    const double lam = quad.lambda[static_cast<std::size_t>(k)];
-    const double damp = std::exp(-quad.mu[static_cast<std::size_t>(k)] * dz);
-    const int mk = quad.m_count[static_cast<std::size_t>(k)];
-    const std::size_t off = quad.offset[static_cast<std::size_t>(k)];
-    for (int j = 0; j < mk; ++j) {
-      const double phase =
-          lam * (dx * quad.cos_alpha[off + static_cast<std::size_t>(j)] +
-                 dy * quad.sin_alpha[off + static_cast<std::size_t>(j)]);
-      inout[off + static_cast<std::size_t>(j)] +=
-          in[off + static_cast<std::size_t>(j)] * damp *
-          cdouble{std::cos(phase), std::sin(phase)};
-    }
-  }
+  const PlaneWaveOperators& pw = pw_[static_cast<std::size_t>(clamped(level))];
+  if (pw.size() == 0) return;
+  pw.i2i_acc(in, d, offset, box_size(level), inout);
 }
 
 void YukawaKernel::i2l_acc(const CoeffVec& in, Axis d, int level,
                            CoeffVec& inout) const {
-  const int l = clamped(level);
-  const PlaneWaveQuadrature& quad = quads_[static_cast<std::size_t>(l)];
-  if (quad.count == 0) return;
-  const auto& norm = inorm(l);
-  const std::size_t stride = tri_index(p_, p_) + 1;
-  const double* phyp = phyp_[static_cast<std::size_t>(l)].data();
+  const PlaneWaveOperators& pw = pw_[static_cast<std::size_t>(clamped(level))];
+  if (pw.size() == 0) return;
   auto& arena = ScratchArena::local();
-  auto lrot_lease = arena.coeffs();
-  auto f_lease = arena.coeffs();
-  auto lback_lease = arena.coeffs();
-  CoeffVec& lrot = *lrot_lease;
-  lrot.assign(sq_count(p_), cdouble{});
-  std::vector<cdouble>& f = *f_lease;
-  f.assign(static_cast<std::size_t>(2 * p_ + 1), cdouble{});
-  for (int k = 0; k < quad.count; ++k) {
-    std::fill(f.begin(), f.end(), cdouble{});
-    const int mk = quad.m_count[static_cast<std::size_t>(k)];
-    const std::size_t off = quad.offset[static_cast<std::size_t>(k)];
-    for (int j = 0; j < mk; ++j) {
-      const cdouble wkj = in[off + static_cast<std::size_t>(j)];
-      const cdouble e{quad.cos_alpha[off + static_cast<std::size_t>(j)],
-                      quad.sin_alpha[off + static_cast<std::size_t>(j)]};
-      // F(k, m) = sum_j W(k, j) e^{-i m alpha_j}
-      f[static_cast<std::size_t>(p_)] += wkj;
-      cdouble ep{1.0, 0.0};
-      for (int mm = 1; mm <= p_; ++mm) {
-        ep *= std::conj(e);
-        f[static_cast<std::size_t>(p_ + mm)] += wkj * ep;
-        f[static_cast<std::size_t>(p_ - mm)] += wkj * std::conj(ep);
-      }
-    }
-    const double* leg = phyp + static_cast<std::size_t>(k) * stride;
-    for (int n = 0; n <= p_; ++n) {
-      const double par = (n & 1) ? -1.0 : 1.0;
-      for (int mm = -n; mm <= n; ++mm) {
-        const int am = std::abs(mm);
-        lrot[sq_index(n, mm)] += par * norm[static_cast<std::size_t>(n)] *
-                                 leg[tri_index(n, am)] * minus_i_pow(am) *
-                                 f[static_cast<std::size_t>(mm + p_)];
-      }
-    }
-  }
-  CoeffVec& lback = *lback_lease;
-  inv_[static_cast<std::size_t>(d)].apply(lrot, gamma_, 1, lback);
-  for (std::size_t i = 0; i < lback.size(); ++i) inout[i] += lback[i];
+  auto lrot = arena.coeffs();
+  auto lback = arena.coeffs();
+  pw.i2l(in, PlaneWaveLocal::kGamma, *lrot);
+  inv_[static_cast<std::size_t>(d)].apply(*lrot, gamma_, 1, *lback);
+  for (std::size_t i = 0; i < lback->size(); ++i) inout[i] += (*lback)[i];
 }
 
 }  // namespace amtfmm

@@ -31,7 +31,10 @@ namespace amtfmm {
 /// M2I / I2L use the analytic continuation of the Gegenbauer plane-wave
 /// expansion: A_n^m evaluated at the complex direction
 /// (-i lam cos a, -i lam sin a, mu)/kappa, which reduces to associated
-/// Legendre functions at real argument mu/kappa > 1.
+/// Legendre functions at real argument mu/kappa > 1.  That is the kernel's
+/// radial table R_k(n, m) = i_n(kappa w) P_n^m(mu_k / (kappa w)); the
+/// angular synthesis/analysis and the I2I shift are the shared
+/// half-spectrum PlaneWaveOperators of math/planewave.hpp, one per level.
 class YukawaKernel final : public Kernel {
  public:
   explicit YukawaKernel(double lambda) : kappa_(lambda) {}
@@ -42,8 +45,8 @@ class YukawaKernel final : public Kernel {
   std::size_t m_count(int) const override { return sq_count(p_); }
   std::size_t l_count(int) const override { return sq_count(p_); }
   std::size_t x_count(int level) const override {
-    if (quads_.empty()) return 0;  // not set up yet
-    return quads_[static_cast<std::size_t>(clamped(level))].total;
+    if (pw_.empty()) return 0;  // not set up yet
+    return pw_[static_cast<std::size_t>(clamped(level))].size();
   }
   std::size_t m_wire_bytes(int) const override { return wire_bytes(p_); }
   std::size_t l_wire_bytes(int) const override { return wire_bytes(p_); }
@@ -93,6 +96,9 @@ class YukawaKernel final : public Kernel {
 
   int order() const { return p_; }
   double lambda() const { return kappa_; }
+  const PlaneWaveQuadrature& quadrature(int level) const {
+    return quads_[static_cast<std::size_t>(clamped(level))];
+  }
 
  private:
   int clamped(int level) const;
@@ -118,7 +124,7 @@ class YukawaKernel final : public Kernel {
   double eps_ = 1e-4;
   std::vector<PlaneWaveQuadrature> quads_;       // per level
   std::vector<std::vector<double>> inorm_;       // per level: i_n(kappa w)
-  std::vector<std::vector<double>> phyp_;        // per level: P_n^m(mu_k/kt), k-major
+  std::vector<PlaneWaveOperators> pw_;           // per level: X-op tables
   std::vector<double> gamma_;                    // (2n+1)(n-|m|)!/(n+|m|)!
   std::array<AngularTransform, 6> fwd_;
   std::array<AngularTransform, 6> inv_;

@@ -97,6 +97,7 @@ FlightRecorder::FlightRecorder(int workers, std::size_t events_per_worker) {
   mask_ = cap - 1;
   rings_ = std::vector<Ring>(static_cast<std::size_t>(workers));
   for (auto& r : rings_) r.slots = std::make_unique<Event[]>(cap);
+  non_worker_.slots = std::make_unique<Event[]>(cap);
   comm_.resize(256);
   flight_register(this);
 }
@@ -112,6 +113,12 @@ void FlightRecorder::set_meta(std::uint32_t rank, int cores,
   rank_ = rank;
   cores_ = cores;
   clock_ = clock;
+}
+
+void FlightRecorder::record_non_worker_instant(InstantKind kind, double t,
+                                               std::uint32_t arg) {
+  SyncLockGuard lk(non_worker_mu_);
+  push(non_worker_, instant_event(kind, t, arg));
 }
 
 void FlightRecorder::record_comm(const CommEvent& e) {
@@ -135,8 +142,7 @@ bool FlightRecorder::dump(const char* reason) const {
           "\"thread_name\",\"args\":{\"name\":\"worker %zu\"}}",
           rank_, wk, wk);
   }
-  for (std::uint32_t wk = 0; wk < rings_.size(); ++wk) {
-    const Ring& r = rings_[wk];
+  auto dump_ring = [&](const Ring& r, std::uint32_t wk) {
     const std::uint64_t head = r.head.load(std::memory_order_acquire);
     const std::uint64_t cap = mask_ + 1;
     const std::uint64_t n = head < cap ? head : cap;
@@ -160,7 +166,11 @@ bool FlightRecorder::dump(const char* reason) const {
                                    : static_cast<long long>(e.arg));
       }
     }
+  };
+  for (std::uint32_t wk = 0; wk < rings_.size(); ++wk) {
+    dump_ring(rings_[wk], wk);
   }
+  dump_ring(non_worker_, 0);  // non-worker threads report as worker 0
   // Comm ring: try_lock only — a thread that crashed while holding the
   // lock must not deadlock the handler; we just lose the comm slice.
   if (comm_mu_.try_lock()) {

@@ -58,33 +58,17 @@ class FlightRecorder {
   /// Single-writer per ring: only worker w records to ring w.
   void record_span(std::uint32_t worker, std::uint8_t cls, double t0,
                    double t1, std::uint32_t arg) {
-    Ring& r = rings_[worker];
-    // relaxed-ok: single-writer cursor; the paired release store below
-    // publishes the slot, and only this worker ever advances the head.
-    const std::uint64_t h = r.head.load(std::memory_order_relaxed);
-    Event& e = r.slots[h & mask_];
-    e.t0 = t0;
-    e.t1 = t1;
-    e.arg = arg;
-    e.cls = cls;
-    e.kind = 0;
-    e.instant = false;
-    r.head.store(h + 1, std::memory_order_release);
+    push(rings_[worker], span_event(cls, t0, t1, arg));
   }
   void record_instant(std::uint32_t worker, InstantKind kind, double t,
                       std::uint32_t arg) {
-    Ring& r = rings_[worker];
-    // relaxed-ok: single-writer cursor (see record_span).
-    const std::uint64_t h = r.head.load(std::memory_order_relaxed);
-    Event& e = r.slots[h & mask_];
-    e.t0 = t;
-    e.t1 = t;
-    e.arg = arg;
-    e.cls = 0;
-    e.kind = static_cast<std::uint8_t>(kind);
-    e.instant = true;
-    r.head.store(h + 1, std::memory_order_release);
+    push(rings_[worker], instant_event(kind, t, arg));
   }
+  /// Instants from threads that are not scheduler workers (TraceSink's
+  /// kNonWorker): serialized by a mutex into their own ring, dumped as
+  /// worker 0, so no worker ring ever sees a second writer.
+  void record_non_worker_instant(InstantKind kind, double t,
+                                 std::uint32_t arg);
   /// Wire messages (rare): a small mutex-guarded ring.  The dump path
   /// only try_locks it, so a thread crashing while holding the lock can
   /// never deadlock the signal handler.
@@ -107,8 +91,41 @@ class FlightRecorder {
     alignas(64) std::atomic<std::uint64_t> head{0};
   };
 
+  static Event span_event(std::uint8_t cls, double t0, double t1,
+                          std::uint32_t arg) {
+    Event e;
+    e.t0 = t0;
+    e.t1 = t1;
+    e.arg = arg;
+    e.cls = cls;
+    return e;
+  }
+  static Event instant_event(InstantKind kind, double t, std::uint32_t arg) {
+    Event e;
+    e.t0 = t;
+    e.t1 = t;
+    e.arg = arg;
+    e.kind = static_cast<std::uint8_t>(kind);
+    e.instant = true;
+    return e;
+  }
+  /// Appends to a ring that has one writer at a time.
+  void push(Ring& r, const Event& e) {
+    // relaxed-ok: single-writer cursor; the paired release store below
+    // publishes the slot, and only the ring's writer advances the head.
+    const std::uint64_t h = r.head.load(std::memory_order_relaxed);
+    r.slots[h & mask_] = e;
+    r.head.store(h + 1, std::memory_order_release);
+  }
+
   std::vector<Ring> rings_;
   std::uint64_t mask_ = 0;
+
+  /// Serializes non-worker writers of non_worker_.  The ring itself is
+  /// not GUARDED_BY: like the worker rings, the dump path reads it
+  /// lock-free (acquire on the head), which keeps dump() signal safe.
+  SyncMutex non_worker_mu_;
+  Ring non_worker_;
 
   mutable SyncMutex comm_mu_;
   std::vector<CommEvent> comm_ GUARDED_BY(comm_mu_);

@@ -57,7 +57,7 @@ void LCO::fire() {
           static_cast<std::uint64_t>((tn - t0) * 1e6));
     }
     if (ex_.trace().enabled()) {
-      ex_.trace().record_instant(static_cast<std::uint32_t>(w),
+      ex_.trace().record_instant(LocalityRuntime::trace_worker(),
                                  InstantKind::kLcoFire, tn);
     }
   }

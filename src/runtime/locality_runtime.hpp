@@ -200,6 +200,14 @@ class LocalityRuntime {
     return w >= 0 ? w : 0;
   }
 
+  /// Trace attribution for an instant on the calling thread: the worker
+  /// id, or TraceSink::kNonWorker for any other thread (its instants go
+  /// to the sink's mutex-guarded side buffer and still report as worker 0).
+  static std::uint32_t trace_worker() {
+    const int w = current_worker();
+    return w >= 0 ? static_cast<std::uint32_t>(w) : TraceSink::kNonWorker;
+  }
+
   std::uint64_t bytes() const { return counters_.bytes(); }
   std::uint64_t parcels() const { return counters_.parcels(); }
   CommStats comm_stats() const { return counters_.snapshot(); }

@@ -200,8 +200,14 @@ void NetTransport::start() {
         peers_[hello->rank].fd.valid()) {
       throw net_error("bootstrap: duplicate or out-of-range hello rank");
     }
-    AMTFMM_ASSERT(dec.buffered() == 0);  // nothing follows hello yet
+    // The connector may already have sent more (its first clock-sync ping
+    // can share a read with the hello).  Those bytes stay in this decoder,
+    // which becomes the peer's stream decoder; progress_main dispatches any
+    // frame already complete there before its first poll.
+    stats_.wire_bytes_recvd.fetch_add(dec.buffered(),
+                                      std::memory_order_relaxed);
     peers_[hello->rank].fd = std::move(fd);
+    peers_[hello->rank].decoder = std::move(dec);
   }
 
   for (std::uint32_t r = 0; r < cfg_.world; ++r) {
@@ -442,6 +448,11 @@ void NetTransport::progress_main() {
   std::vector<int> fds;
   std::vector<bool> want_write;
   std::vector<std::uint32_t> idx_rank;
+  // Frames that arrived with a peer's hello are complete already; no poll
+  // would ever report them.
+  for (std::uint32_t r = 0; r < cfg_.world; ++r) {
+    if (r != cfg_.rank && peers_[r].fd.valid()) dispatch_buffered(r);
+  }
   for (;;) {
     fds.clear();
     want_write.clear();
@@ -501,12 +512,7 @@ void NetTransport::do_read(std::uint32_t rank, std::vector<std::byte>& buf) {
     if (r.bytes > 0) {
       stats_.wire_bytes_recvd.fetch_add(r.bytes, std::memory_order_relaxed);
       p.decoder.feed(buf.data(), r.bytes);
-      while (auto f = p.decoder.next()) dispatch(rank, std::move(*f));
-      if (p.decoder.failed()) {
-        fail("stream from rank " + std::to_string(rank) + ": " +
-             p.decoder.error());
-        return;
-      }
+      if (!dispatch_buffered(rank)) return;
       continue;  // keep reading until EAGAIN
     }
     if (r.closed) {
@@ -515,6 +521,16 @@ void NetTransport::do_read(std::uint32_t rank, std::vector<std::byte>& buf) {
     }
     return;  // EAGAIN
   }
+}
+
+bool NetTransport::dispatch_buffered(std::uint32_t rank) {
+  FrameDecoder& dec = peers_[rank].decoder;
+  while (auto f = dec.next()) dispatch(rank, std::move(*f));
+  if (dec.failed()) {
+    fail("stream from rank " + std::to_string(rank) + ": " + dec.error());
+    return false;
+  }
+  return true;
 }
 
 void NetTransport::on_peer_closed(std::uint32_t rank) {

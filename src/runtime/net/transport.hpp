@@ -193,6 +193,9 @@ class NetTransport {
   /// Writes queued frames until EAGAIN or the outbox empties.
   void do_write(std::uint32_t rank);
   void dispatch(std::uint32_t rank, FrameDecoder::Frame&& f);
+  /// Dispatches every complete frame in the peer's decoder; false (after
+  /// fail()) when the stream is malformed.
+  bool dispatch_buffered(std::uint32_t rank);
   void on_peer_closed(std::uint32_t rank);
   void fail(const std::string& why);
   bool outboxes_empty() const REQUIRES(mu_);

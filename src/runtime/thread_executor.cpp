@@ -171,8 +171,7 @@ void ThreadExecutor::send(std::uint32_t from, std::uint32_t to,
   const double tn = now();
   rt_->account_batch(*out.batch, tn, tn, /*coalesced=*/false);
   if (rt_->trace().enabled()) {
-    const auto w =
-        static_cast<std::uint32_t>(LocalityRuntime::metric_worker());
+    const std::uint32_t w = LocalityRuntime::trace_worker();
     rt_->trace().record_instant(w, InstantKind::kParcelSend, tn, to);
     rt_->trace().record_instant(w, InstantKind::kParcelRecv, tn, from);
   }
@@ -184,9 +183,8 @@ void ThreadExecutor::deliver(ParcelBatch b) {
   const double tn = now();
   rt_->account_batch(b, tn, tn, /*coalesced=*/true);
   if (rt_->trace().enabled()) {
-    rt_->trace().record_instant(
-        static_cast<std::uint32_t>(LocalityRuntime::metric_worker()),
-        InstantKind::kParcelSend, tn, b.dst);
+    rt_->trace().record_instant(LocalityRuntime::trace_worker(),
+                                InstantKind::kParcelSend, tn, b.dst);
   }
   Task w;
   w.locality = b.dst;
@@ -204,9 +202,8 @@ void ThreadExecutor::deliver(ParcelBatch b) {
 
 void ThreadExecutor::run_batch_in_order(ParcelBatch b) {
   if (rt_->trace().enabled()) {
-    rt_->trace().record_instant(
-        static_cast<std::uint32_t>(LocalityRuntime::metric_worker()),
-        InstantKind::kParcelRecv, now(), b.src);
+    rt_->trace().record_instant(LocalityRuntime::trace_worker(),
+                                InstantKind::kParcelRecv, now(), b.src);
   }
   InOrder& io = inorder_[static_cast<std::size_t>(b.src) *
                              static_cast<std::size_t>(num_localities_) +

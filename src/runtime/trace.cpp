@@ -59,10 +59,13 @@ std::vector<TraceEvent> TraceSink::collect() const {
 
 std::vector<InstantEvent> TraceSink::collect_instants() const {
   std::vector<InstantEvent> out;
-  std::size_t total = 0;
+  SyncLockGuard lk(non_worker_mu_);
+  std::size_t total = non_worker_instants_.size();
   for (const auto& b : instants_) total += b.size();
   out.reserve(total);
   for (const auto& b : instants_) out.insert(out.end(), b.begin(), b.end());
+  out.insert(out.end(), non_worker_instants_.begin(),
+             non_worker_instants_.end());
   std::sort(out.begin(), out.end(),
             [](const InstantEvent& a, const InstantEvent& b) { return a.t < b.t; });
   return out;
@@ -88,6 +91,16 @@ void TraceSink::flight_instant(std::uint32_t worker, InstantKind kind,
   flight_->record_instant(worker, kind, t, arg);
 }
 
+void TraceSink::record_non_worker(std::uint8_t mode, const InstantEvent& e) {
+  if ((mode & kModeFull) != 0) {
+    SyncLockGuard lk(non_worker_mu_);
+    non_worker_instants_.push_back(e);
+  }
+  if ((mode & kModeFlight) != 0) {
+    flight_->record_non_worker_instant(e.kind, e.t, e.arg);
+  }
+}
+
 std::vector<CommEvent> TraceSink::collect_comm() const {
   SyncLockGuard lk(comm_mu_);
   std::vector<CommEvent> out = comm_;
@@ -99,6 +112,10 @@ std::vector<CommEvent> TraceSink::collect_comm() const {
 void TraceSink::clear() {
   for (auto& b : buffers_) b.clear();
   for (auto& b : instants_) b.clear();
+  {
+    SyncLockGuard lk(non_worker_mu_);
+    non_worker_instants_.clear();
+  }
   SyncLockGuard lk(comm_mu_);
   comm_.clear();
 }

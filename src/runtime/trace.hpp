@@ -102,6 +102,12 @@ class TraceSink {
  public:
   static constexpr std::uint8_t kModeFull = 1;
   static constexpr std::uint8_t kModeFlight = 2;
+  /// Worker id for instants recorded on a thread that is not a scheduler
+  /// worker (the caller's thread seeding or draining an epoch).  Those go
+  /// to a mutex-guarded side buffer — never into a worker's single-writer
+  /// buffer or ring — and are reported as worker 0.  Spans always come
+  /// from workers.
+  static constexpr std::uint32_t kNonWorker = 0xffffffffu;
 
   explicit TraceSink(int workers)
       : buffers_(static_cast<std::size_t>(workers)),
@@ -162,6 +168,10 @@ class TraceSink {
     // relaxed-ok: control flag, no ordering required (see set_enabled).
     const std::uint8_t m = mode_.load(std::memory_order_relaxed);
     if (m == 0) return;
+    if (worker == kNonWorker) {
+      record_non_worker(m, InstantEvent{t, 0, kind, arg});
+      return;
+    }
     assert(worker < instants_.size() && "trace worker id out of range");
     if ((m & kModeFull) != 0) {
       instants_[worker].push_back(InstantEvent{t, worker, kind, arg});
@@ -192,11 +202,15 @@ class TraceSink {
                    double t1, std::uint32_t arg);
   void flight_instant(std::uint32_t worker, InstantKind kind, double t,
                       std::uint32_t arg);
+  /// kNonWorker instants (rare): serialized under non_worker_mu_.
+  void record_non_worker(std::uint8_t mode, const InstantEvent& e);
 
   std::atomic<std::uint8_t> mode_{0};
   FlightRecorder* flight_ = nullptr;
   std::vector<std::vector<TraceEvent>> buffers_;
   std::vector<std::vector<InstantEvent>> instants_;
+  mutable SyncMutex non_worker_mu_;
+  std::vector<InstantEvent> non_worker_instants_ GUARDED_BY(non_worker_mu_);
   mutable SyncMutex comm_mu_;
   std::vector<CommEvent> comm_ GUARDED_BY(comm_mu_);
 };

@@ -3,6 +3,7 @@
 #include "core/dag.hpp"
 #include "core/evaluator.hpp"
 #include "geom/distributions.hpp"
+#include "math/planewave.hpp"
 
 namespace amtfmm {
 namespace {
@@ -106,6 +107,98 @@ INSTANTIATE_TEST_SUITE_P(
         DagCase{"counting", Method::kFmmBasic, Distribution::kCube, {0.4, 0, 0}, 20, 2},
         DagCase{"counting", Method::kBarnesHut, Distribution::kCube, {0, 0, 0}, 40, 2},
         DagCase{"laplace", Method::kFmmAdvanced, Distribution::kPlummer, {0.2, 0.1, 0}, 15, 3}));
+
+/// Counts of the I->I leg families a DAG emits, per math/planewave.hpp.
+struct XLegCounts {
+  std::size_t residual = 0, merge = 0, shift = 0;
+  int max_level = 0;
+  double max_snap = 0;  ///< largest |offset - grid point|, half-box units
+};
+
+/// Snaps every I->I edge of the DAG over (src, tgt) onto the half-box grid
+/// of its quadrature level with the engine's own offset (target centre
+/// minus source centre), so halfbox_offset asserts the grid and its
+/// bounds, and sorts each edge into a leg family: residual (even, even,
+/// {4, 6}), merge (odd, odd, {3, 5, 7}) or shift (+-1, +-1, +-1).
+XLegCounts classify_x_legs(const std::vector<Vec3>& src,
+                           const std::vector<Vec3>& tgt, int threshold) {
+  XLegCounts c;
+  const DualTree dt = build_dual_tree(src, tgt, threshold, 2);
+  c.max_level = std::max(dt.source.max_level(), dt.target.max_level());
+  auto kernel = make_kernel("counting");
+  kernel->setup(dt.source.domain().size, c.max_level + 1, 3);
+  const InteractionLists lists = build_lists(dt);
+  const Dag dag = build_dag(dt, lists, *kernel, DagBuildConfig{}, 2);
+  for (const DagNode& n : dag.nodes) {
+    for (std::uint32_t ei = n.first_edge; ei < n.first_edge + n.num_edges;
+         ++ei) {
+      const DagEdge& e = dag.edges[ei];
+      if (e.op != Operator::kI2I) continue;
+      const DagNode& to = dag.nodes[e.target];
+      const Tree& from_tree = n.kind == NodeKind::kIs ? dt.source : dt.target;
+      const Vec3 offset = dt.target.box(to.box).cube.center() -
+                          from_tree.box(n.box).cube.center();
+      const int qlevel = std::max(n.level, to.level);
+      const double box =
+          dt.source.domain().size / static_cast<double>(1 << qlevel);
+      const auto g = halfbox_offset(kAllAxes[e.dir], offset, box);
+      const Vec3 o = axis_to_z(kAllAxes[e.dir]) * offset * (2.0 / box);
+      c.max_snap = std::max({c.max_snap, std::abs(o.x - g[0]),
+                             std::abs(o.y - g[1]), std::abs(o.z - g[2])});
+      const bool even = g[0] % 2 == 0 && g[1] % 2 == 0;
+      const bool odd = g[0] % 2 != 0 && g[1] % 2 != 0 && g[2] % 2 != 0;
+      if (even && (g[2] == 4 || g[2] == 6)) {
+        ++c.residual;
+      } else if (odd && g[2] >= 3) {
+        ++c.merge;
+      } else if (std::abs(g[0]) == 1 && std::abs(g[1]) == 1 &&
+                 std::abs(g[2]) == 1) {
+        ++c.shift;
+      } else {
+        ADD_FAILURE() << "offset (" << g[0] << "," << g[1] << "," << g[2]
+                      << ") fits no leg family";
+      }
+    }
+  }
+  return c;
+}
+
+TEST(DagXOffsets, EveryIToIEdgeIsOnTheHalfBoxGrid) {
+  XLegCounts total;
+  for (const Distribution dist :
+       {Distribution::kCube, Distribution::kSphere, Distribution::kPlummer}) {
+    Rng rng(23);
+    const auto src = generate_points(dist, 6000, rng);
+    const auto tgt = generate_points(dist, 5000, rng, {0.1, -0.2, 0.05});
+    const XLegCounts c = classify_x_legs(src, tgt, 20);
+    total.residual += c.residual;
+    total.merge += c.merge;
+    total.shift += c.shift;
+  }
+  EXPECT_GT(total.residual, 0u);
+  EXPECT_GT(total.merge, 0u);
+  EXPECT_GT(total.shift, 0u);
+}
+
+/// Far from the origin a centre difference carries rounding of order
+/// ulp(|centre|), which dividing by a deep box magnifies.  A clustered
+/// ensemble translated by 1e4 puts that rounding in every snapped offset
+/// and must still land each I->I edge on the grid.  (Much farther out
+/// cubes_adjacent in tree/lists.cpp, which allows 1e-9 of the box size,
+/// gives way long before the half-box snap does.)
+TEST(DagXOffsets, DeepTranslatedClusterStaysOnTheHalfBoxGrid) {
+  Rng rng(29);
+  const Vec3 far{1e4, 1e4, 1e4};
+  const auto src = generate_points(Distribution::kPlummer, 6000, rng, far);
+  const auto tgt = generate_points(Distribution::kPlummer, 5000, rng,
+                                   far + Vec3{0.01, -0.02, 0.005});
+  const XLegCounts c = classify_x_legs(src, tgt, 4);
+  EXPECT_GE(c.max_level, 8);
+  EXPECT_GT(c.max_snap, 1e-12);  // the rounding is really there
+  EXPECT_GT(c.residual, 0u);
+  EXPECT_GT(c.merge, 0u);
+  EXPECT_GT(c.shift, 0u);
+}
 
 /// The decisive structural test (see kernels/counting.hpp): through the
 /// full pipeline — tree, lists, merge-and-shift DAG, LCO engine, parcels,

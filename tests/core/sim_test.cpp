@@ -2,6 +2,7 @@
 
 #include <map>
 
+#include "core/cost_model.hpp"
 #include "core/evaluator.hpp"
 #include "geom/distributions.hpp"
 
@@ -188,6 +189,28 @@ TEST(EvaluatorAccuracyScaling, MoreDigitsGiveSmallerError) {
     EXPECT_LT(err, std::pow(10.0, -digits) * 5.0) << digits << " digits";
     EXPECT_LT(err, prev) << "error must shrink with requested digits";
     prev = err;
+  }
+}
+
+/// The host profile times every merge-and-shift operator on a kernel set up
+/// for a domain other than 1, such as the padded bounding cube a tree
+/// reports: the timed I->I offset must sit on that kernel's half-box grid.
+TEST(CostModel, MeasuredOnTheKernelsOwnDomain) {
+  for (const char* name : {"laplace", "yukawa"}) {
+    for (const double domain : {1.0 + 2e-6, 3.0}) {
+      auto kernel = make_kernel(name, 2.0);
+      kernel->setup(domain, 5, 3);
+      const CostModel m = CostModel::measured(*kernel, 3, 8, domain);
+      for (const Operator op :
+           {Operator::kM2I, Operator::kI2L, Operator::kS2M}) {
+        EXPECT_GT(m.base[static_cast<std::size_t>(op)] +
+                      m.per_unit[static_cast<std::size_t>(op)],
+                  0.0)
+            << name << " domain " << domain << " " << to_string(op);
+      }
+      EXPECT_GT(m.per_unit[static_cast<std::size_t>(Operator::kI2I)], 0.0)
+          << name << " domain " << domain;
+    }
   }
 }
 

@@ -267,6 +267,75 @@ TEST(NetTransport, PeerDeathFailsFastInsteadOfHanging) {
   t1.stop();
 }
 
+TEST(NetTransport, FramesSharingTheHelloReadAreDispatched) {
+  // Rank 1's hello and its first clock-sync ping can reach rank 0 in one
+  // read; the frames after the hello must still reach the progress
+  // thread.  The test plays rank 1 with a bare socket and sends hello,
+  // ping and a probe in a single write().
+  TempDir dir;
+  Sink s0;
+  NetTransport t0(config_for(0, 2, dir.path, TransportKind::kUnix),
+                  s0.batch_fn(), s0.control_fn(), s0.fail_fn());
+  std::thread starter([&] { t0.start(); });
+
+  Fd conn;
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (!conn.valid()) {
+    conn = try_connect_unix((dir.path / "sock.0").string());
+    if (!conn.valid()) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << "rank 0 never listened";
+      std::this_thread::sleep_for(1ms);
+    }
+  }
+  std::vector<std::byte> out;
+  auto append = [&](ControlType type, std::uint64_t a) {
+    ControlMsg m;
+    m.type = static_cast<std::uint8_t>(type);
+    m.rank = 1;
+    m.a = a;
+    const auto f = encode_control_frame(m);
+    out.insert(out.end(), f.begin(), f.end());
+  };
+  append(ControlType::kHello, 0);
+  append(ControlType::kPing, 42);
+  append(ControlType::kProbe, 7);
+  const IoResult w = write_some(conn, out.data(), out.size());
+  ASSERT_TRUE(w.ok()) << w.error;
+  ASSERT_EQ(w.bytes, out.size());
+  starter.join();
+
+  // The probe reaches rank 0's control callback ...
+  ASSERT_TRUE(s0.wait_for([&] { return !s0.controls.empty(); }))
+      << "probe after the hello was never dispatched";
+  {
+    std::lock_guard<std::mutex> lk(s0.mu);
+    EXPECT_EQ(s0.controls[0].type,
+              static_cast<std::uint8_t>(ControlType::kProbe));
+    EXPECT_EQ(s0.controls[0].a, 7u);
+  }
+  // ... and the ping is answered with a pong echoing its id.
+  FrameDecoder dec;
+  std::optional<FrameDecoder::Frame> f;
+  std::byte buf[256];
+  while (!(f = dec.next())) {
+    ASSERT_FALSE(dec.failed()) << dec.error();
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "no pong";
+    const IoResult r = read_some(conn, buf, sizeof(buf));
+    ASSERT_TRUE(r.ok()) << r.error;
+    ASSERT_FALSE(r.closed);
+    dec.feed(buf, r.bytes);
+  }
+  std::string err;
+  const auto pong = decode_control(f->payload, &err);
+  ASSERT_TRUE(pong.has_value()) << err;
+  EXPECT_EQ(pong->type, static_cast<std::uint8_t>(ControlType::kPong));
+  EXPECT_EQ(pong->a, 42u);
+
+  t0.stop();
+  EXPECT_FALSE(t0.failed()) << t0.failure_text();
+}
+
 TEST(NetTransport, WorldOfOneNeedsNoMesh) {
   TempDir dir;
   Sink s;

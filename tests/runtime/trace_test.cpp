@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <thread>
 
+#include "runtime/flight_recorder.hpp"
 #include "runtime/trace.hpp"
 
 namespace amtfmm {
@@ -144,6 +147,42 @@ TEST(TraceSink, InstantsCollectSortedAcrossWorkers) {
   EXPECT_EQ(ev[1].kind, InstantKind::kParcelRecv);
   EXPECT_EQ(ev[2].kind, InstantKind::kLcoFire);
   EXPECT_EQ(ev[2].arg, kNoTraceArg);
+  sink.clear();
+  EXPECT_TRUE(sink.collect_instants().empty());
+}
+
+/// The caller's thread seeds and drains an epoch while worker 0 runs, and
+/// both record instants.  Non-worker instants must go to the sink's guarded
+/// side buffer (and the flight recorder's guarded ring), never into worker
+/// 0's single-writer vector or ring, yet still report as worker 0.  The
+/// TSan CI leg runs this: sharing worker 0's buffers is a data race that
+/// can corrupt the heap.
+TEST(TraceSink, NonWorkerRecordsDoNotRaceWorkerZero) {
+  constexpr int kEach = 20000;
+  TraceSink sink(2);
+  FlightRecorder flight(2, 1024);
+  sink.set_enabled(true);
+  sink.set_flight(&flight);
+  std::atomic<bool> go{false};
+  auto body = [&](std::uint32_t worker) {
+    while (!go.load(std::memory_order_acquire)) {
+    }
+    for (int i = 0; i < kEach; ++i) {
+      sink.record_instant(worker, InstantKind::kParcelSend, 1e-6 * i, 1);
+    }
+  };
+  std::thread worker0(body, 0u);
+  std::thread caller(body, TraceSink::kNonWorker);
+  go.store(true, std::memory_order_release);
+  worker0.join();
+  caller.join();
+  sink.set_flight(nullptr);
+
+  const auto instants = sink.collect_instants();
+  EXPECT_EQ(instants.size(), 2u * kEach);
+  std::size_t not_worker0 = 0;
+  for (const auto& e : instants) not_worker0 += e.worker != 0;
+  EXPECT_EQ(not_worker0, 0u);
   sink.clear();
   EXPECT_TRUE(sink.collect_instants().empty());
 }
