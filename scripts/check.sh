@@ -11,7 +11,8 @@
 #   4. Debug build of the multi-locality parity / LCO-semantics tests
 #      (assertions and the GAS/ownership debug checks enabled),
 #   5. ThreadSanitizer build of the concurrency-sensitive targets,
-#   6. AddressSanitizer build + complete test suite,
+#   6. AddressSanitizer build (libstdc++ checked containers on) + complete
+#      test suite,
 #   7. UndefinedBehaviorSanitizer build + complete test suite,
 #   8. clang-format check (skipped when clang-format is unavailable),
 #   9. benchmark smoke run with JSON output, including the per-ISA SIMD

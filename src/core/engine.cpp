@@ -1,5 +1,6 @@
 #include "core/engine.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <utility>
@@ -142,7 +143,20 @@ double DagEngine::execute(std::span<const double> charges,
     ex_.drain();
   }
   const double t0 = ex_.now();
-  seed();
+  if (ex_.single_threaded()) {
+    // The sim runs every task on this thread: seeding here, in node order,
+    // keeps its event order (and virtual times) as they were.
+    for (NodeIndex ni = 0; ni < dag_.nodes.size(); ++ni) seed(ni);
+  } else {
+    // Root tasks on each hosted locality seed its nodes from one of its
+    // workers, so the spawns land on that worker's deque in node order and
+    // one worker repeats an epoch bit for bit.  A socket rank hosts only
+    // its own locality.
+    for (int l = 0; l < ex_.num_localities(); ++l) {
+      const auto loc = static_cast<std::uint32_t>(l);
+      if (ex_.locality_is_local(loc)) spawn_seeds(loc, 0);
+    }
+  }
   ex_.drain();
   gas_allocs_epoch_ = gas_.total_allocs() - allocs_before;
   ++epoch_;
@@ -174,24 +188,37 @@ void DagEngine::instantiate() {
   }
 }
 
-void DagEngine::seed() {
-  for (NodeIndex ni = 0; ni < dag_.nodes.size(); ++ni) {
-    const DagNode& n = dag_.nodes[ni];
-    // SPMD gating: every rank builds the identical DAG, but a node's
-    // initial work is seeded only by the process hosting its locality
-    // (in-process executors host all localities, so this skips nothing
-    // there).  Downstream work follows the parcels, not the seeds.
-    if (!ex_.locality_is_local(n.locality)) continue;
-    if (n.kind == NodeKind::kS) {
-      // Sources have no inputs: walk their out-edges directly.
-      spawn_edge_tasks(ni);
-    } else if (n.in_degree == 0 && n.kind == NodeKind::kT) {
-      // A target box no source can see: its potentials are exactly zero.
-      Task t;
-      t.locality = n.locality;
-      t.fn = [this, ni] { finalize_target(ni); };
-      ex_.spawn(std::move(t));
+void DagEngine::spawn_seeds(std::uint32_t loc, NodeIndex from) {
+  // Seeding ~100k nodes takes a one-worker locality ~15 ms, so it runs in
+  // chunks: each root task spawns the next one before seeding its own
+  // chunk, and the owner's LIFO pops run the chunk's tasks first.  The
+  // worker starts executing (and sending) early, and a thief takes the
+  // continuation when the locality has more workers.
+  constexpr NodeIndex kChunk = 8192;
+  Task t;
+  t.locality = loc;
+  t.fn = [this, loc, from] {
+    const auto n = static_cast<NodeIndex>(dag_.nodes.size());
+    const NodeIndex end = std::min<NodeIndex>(n, from + kChunk);
+    if (end < n) spawn_seeds(loc, end);
+    for (NodeIndex ni = from; ni < end; ++ni) {
+      if (dag_.nodes[ni].locality == loc) seed(ni);
     }
+  };
+  ex_.spawn(std::move(t));
+}
+
+void DagEngine::seed(NodeIndex ni) {
+  const DagNode& n = dag_.nodes[ni];
+  if (n.kind == NodeKind::kS) {
+    // Sources have no inputs: walk their out-edges directly.
+    spawn_edge_tasks(ni);
+  } else if (n.in_degree == 0 && n.kind == NodeKind::kT) {
+    // A target box no source can see: its potentials are exactly zero.
+    Task t;
+    t.locality = n.locality;
+    t.fn = [this, ni] { finalize_target(ni); };
+    ex_.spawn(std::move(t));
   }
 }
 
@@ -450,18 +477,26 @@ void DagEngine::process_local(NodeIndex ni,
 void DagEngine::apply_edge(NodeIndex from, const DagEdge& e,
                            const SourceView& src, P2PScratch& p2p,
                            std::vector<std::byte>& msg) {
+  auto in_source_tree = [](const DagNode& n) {
+    return n.kind == NodeKind::kS || n.kind == NodeKind::kM ||
+           n.kind == NodeKind::kIs;
+  };
   const DagNode& fn = dag_.nodes[from];
   const DagNode& tn = dag_.nodes[e.target];
-  const TreeBox& fbox = (fn.kind == NodeKind::kS || fn.kind == NodeKind::kM ||
-                         fn.kind == NodeKind::kIs)
-                            ? dt_.source.box(fn.box)
-                            : dt_.target.box(fn.box);
-  const TreeBox& tbox = (tn.kind == NodeKind::kS || tn.kind == NodeKind::kM ||
-                         tn.kind == NodeKind::kIs)
-                            ? dt_.source.box(tn.box)
-                            : dt_.target.box(tn.box);
-  const auto tgt_pts = std::span<const Vec3>(dt_.target.sorted_points())
-                           .subspan(tbox.first, tbox.count);
+  const TreeBox& fbox = in_source_tree(fn) ? dt_.source.box(fn.box)
+                                           : dt_.target.box(fn.box);
+  const TreeBox& tbox = in_source_tree(tn) ? dt_.source.box(tn.box)
+                                           : dt_.target.box(tn.box);
+  // Target points exist only under target-tree boxes (the T nodes the
+  // evaluation operators feed); a source-tree box indexes other points.
+  std::span<const Vec3> tgt_pts;
+  if (!in_source_tree(tn)) {
+    const std::vector<Vec3>& pts = dt_.target.sorted_points();
+    AMTFMM_ASSERT_MSG(tbox.first <= pts.size() &&
+                          tbox.count <= pts.size() - tbox.first,
+                      "target box slice past the target points");
+    tgt_pts = std::span<const Vec3>(pts).subspan(tbox.first, tbox.count);
+  }
 
   auto coeffs = ScratchArena::local().coeffs();
   auto append_main = [&] {

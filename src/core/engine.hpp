@@ -157,7 +157,13 @@ class DagEngine {
   /// Runs between drains (quiescent); the caller's barrier keeps any peer
   /// rank from seeding before every rank has finished resetting.
   void reset_for_epoch();
-  void seed();
+  /// Spawns the root task that seeds locality `loc`'s nodes from index
+  /// `from` on, one chunk per task.
+  void spawn_seeds(std::uint32_t loc, NodeIndex from);
+  /// Starts a node's share of an epoch: a source's edge tasks, or the zero
+  /// finalization of a target no source reaches; other nodes wait for
+  /// their inputs.
+  void seed(NodeIndex ni);
   void spawn_edge_tasks(NodeIndex ni);
   void process_local(NodeIndex ni, std::span<const std::uint32_t> edge_ids);
   /// Computes the contribution of one edge in the target's basis and

@@ -35,8 +35,8 @@ const char* to_string(Operator op);
 /// so the translation vector lies along +z, apply the O(p^2) axial
 /// translation (the inner azimuthal sum collapses), rotate back — O(p^3)
 /// total instead of the O(p^4) dense double loop.  kNaive keeps the dense
-/// path for A/B validation and for translation vectors outside the
-/// precomputed integer-offset set.
+/// path for A/B validation.  Rotation mode covers every M2L offset an FMM
+/// DAG emits and dies on any other (M2LRotationSet::find).
 enum class M2LMode { kRotation, kNaive };
 
 /// Construction-time kernel options (see make_kernel overload below).

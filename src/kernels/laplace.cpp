@@ -119,14 +119,11 @@ void LaplaceKernel::m2m_acc(const CoeffVec& in, const Vec3& from,
 
 void LaplaceKernel::m2l_acc(const CoeffVec& in, const Vec3& from,
                             const Vec3& to, int level, CoeffVec& inout) const {
-  if (m2l_mode() == M2LMode::kRotation) {
-    const M2LDirection* dir = m2l_rot_.find(to - from, scale(level));
-    if (dir != nullptr) {
-      m2l_rotated(*dir, in, level, inout);
-      return;
-    }
+  if (m2l_mode() == M2LMode::kNaive) {
+    m2l_naive(in, from, to, level, inout);
+    return;
   }
-  m2l_naive(in, from, to, level, inout);
+  m2l_rotated(m2l_rot_.find(to - from, scale(level)), in, level, inout);
 }
 
 void LaplaceKernel::m2l_naive(const CoeffVec& in, const Vec3& from,

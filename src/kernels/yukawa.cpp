@@ -290,14 +290,11 @@ void YukawaKernel::m2m_acc(const CoeffVec& in, const Vec3& from,
 
 void YukawaKernel::m2l_acc(const CoeffVec& in, const Vec3& from,
                            const Vec3& to, int level, CoeffVec& inout) const {
-  if (m2l_mode() == M2LMode::kRotation && !yk_axial_.empty()) {
-    const M2LDirection* dir = m2l_rot_.find(to - from, box_size(level));
-    if (dir != nullptr) {
-      m2l_rotated(*dir, in, level, inout);
-      return;
-    }
+  if (m2l_mode() == M2LMode::kNaive) {
+    m2l_naive(in, from, to, level, inout);
+    return;
   }
-  m2l_naive(in, from, to, level, inout);
+  m2l_rotated(m2l_rot_.find(to - from, box_size(level)), in, level, inout);
 }
 
 void YukawaKernel::m2l_naive(const CoeffVec& in, const Vec3& from,

@@ -61,23 +61,25 @@ M2LRotationSet::M2LRotationSet(int p) : p_(p) {
   }
 }
 
-const M2LDirection* M2LRotationSet::find(const Vec3& t, double box_size) const {
-  if (p_ < 0) return nullptr;
+const M2LDirection& M2LRotationSet::find(const Vec3& t, double box_size) const {
+  AMTFMM_ASSERT_MSG(p_ >= 0, "M2LRotationSet used before it was built");
   const double inv_w = 1.0 / box_size;
-  const double fx = t.x * inv_w, fy = t.y * inv_w, fz = t.z * inv_w;
-  const long x = std::lround(fx), y = std::lround(fy), z = std::lround(fz);
-  constexpr double kTol = 1e-6;  // box units
-  if (std::abs(fx - x) > kTol || std::abs(fy - y) > kTol ||
-      std::abs(fz - z) > kTol) {
-    return nullptr;
-  }
-  if (std::abs(x) > kMaxOffset || std::abs(y) > kMaxOffset ||
-      std::abs(z) > kMaxOffset) {
-    return nullptr;
-  }
-  const int ix = lut_[static_cast<std::size_t>(lut_index(
-      static_cast<int>(x), static_cast<int>(y), static_cast<int>(z)))];
-  return (ix >= 0) ? &dirs_[static_cast<std::size_t>(ix)] : nullptr;
+  // Offsets are integers in box units, and a translation between boxes
+  // off the shared grid or of different levels misses by at least 0.5,
+  // while a centre difference carries ulp(|centre|) of rounding that 1/box
+  // magnifies on deep, translated trees: a tolerance of 1e-3 box units
+  // still catches every off-grid offset and sits far above that noise.
+  auto snap = [inv_w](double v) {
+    const double f = v * inv_w, r = std::nearbyint(f);
+    AMTFMM_ASSERT_MSG(std::abs(f - r) < 1e-3, "M2L offset is off the box grid");
+    AMTFMM_ASSERT_MSG(std::abs(r) <= kMaxOffset,
+                      "M2L offset beyond 3 boxes (parents not adjacent)");
+    return static_cast<int>(r);
+  };
+  const int ix = lut_[static_cast<std::size_t>(
+      lut_index(snap(t.x), snap(t.y), snap(t.z)))];
+  AMTFMM_ASSERT_MSG(ix >= 0, "M2L offset between adjacent boxes");
+  return dirs_[static_cast<std::size_t>(ix)];
 }
 
 void M2LRotationSet::rotate_forward(const M2LDirection& dir,

@@ -22,8 +22,8 @@ struct M2LDirection {
 /// multiple nu of the box size with |nu_i| <= 3 and max_i |nu_i| >= 2 —
 /// the 316 offsets enumerated here.  For each offset the rotation taking
 /// nu to +z is factored as Q = R_y(-theta) R_z(-phi); the azimuthal part
-/// acts as a diagonal phase on the coefficients, so only one numerically
-/// built AngularTransform pair per *distinct polar angle* is stored
+/// acts as a diagonal phase on the coefficients, so only one
+/// AngularTransform pair per *distinct polar angle* is stored
 /// (~50 classes instead of ~290 directions), keyed by the exact rational
 /// cos^2(theta) = nu_z^2 / |nu|^2.
 ///
@@ -39,13 +39,12 @@ class M2LRotationSet {
   explicit M2LRotationSet(int p);
 
   int order() const { return p_; }
-  bool ready() const { return p_ >= 0; }
 
   /// Looks up the direction plan for the translation `to - from` between
-  /// boxes of edge length `box_size`.  Returns nullptr when the offset is
-  /// not (within tolerance) one of the tabulated integer offsets — callers
-  /// fall back to the naive path.
-  const M2LDirection* find(const Vec3& to_minus_from, double box_size) const;
+  /// boxes of edge length `box_size`.  Dies on an offset that is not one
+  /// of the tabulated integer offsets (off the box grid, adjacent, or
+  /// beyond 3 boxes): no M2L edge of an FMM DAG takes one.
+  const M2LDirection& find(const Vec3& to_minus_from, double box_size) const;
 
   std::size_t dist_class_count() const { return dists_.size(); }
   /// |nu| of the class, in box units.

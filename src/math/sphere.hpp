@@ -19,11 +19,9 @@ void angular_basis(int p, const Vec3& dir, CoeffVec& out);
 /// integrates exactly any spherical polynomial of degree <= 2B+1, which
 /// makes the projection of a degree-B-bandlimited field onto A_n^m exact.
 ///
-/// This is the workhorse behind two "numerically generated operator"
-/// mechanisms (see DESIGN.md):
-///  - angular rotation matrices (rotation.hpp), and
-///  - Yukawa translation operators (kernels/yukawa.cpp), which evaluate a
-///    translated expansion on a sphere and project it back onto the basis.
+/// This is the workhorse behind the Yukawa translation operators
+/// (kernels/yukawa.cpp), which evaluate a translated expansion on a sphere
+/// and project it back onto the basis (see DESIGN.md).
 class SphereRule {
  public:
   /// Builds a rule exact for fields bandlimited to degree `band`.

@@ -252,7 +252,11 @@ Scenario lco_trigger_once() {
     };
     auto st = std::make_shared<St>();
     ctx.label(&st->lco, "lco");
-    st->lco.register_continuation(make_task([st] { ++st->continuation_runs; }));
+    // The continuation lives inside st->lco, so it must not own st: that
+    // cycle leaks St whenever a seeded mutation keeps the LCO from firing.
+    St* const raw = st.get();
+    st->lco.register_continuation(
+        make_task([raw] { ++raw->continuation_runs; }));
     ScenarioRun run;
     for (int t = 0; t < 2; ++t) {
       run.bodies.push_back([st] { st->lco.add(1); });

@@ -145,6 +145,13 @@ class Executor {
   /// Enqueues a task at task.locality.
   virtual void spawn(Task t) = 0;
 
+  /// True when every task runs on the thread that calls drain() (the
+  /// discrete-event sim).  On threaded executors a spawn from outside the
+  /// workers goes through a LIFO inbox that workers empty at
+  /// timing-dependent points, so a caller that needs a reproducible order
+  /// starts its work from a task instead (see DagEngine::execute).
+  virtual bool single_threaded() const { return false; }
+
   /// Sends a parcel of `bytes` from one locality to another; the task runs
   /// at the destination after (modelled) transport.  This is the only way
   /// work crosses localities.

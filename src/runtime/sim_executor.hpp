@@ -59,6 +59,7 @@ class SimExecutor final : public Executor {
   int current_locality() const override { return current_loc_; }
 
   void spawn(Task t) override;
+  bool single_threaded() const override { return true; }
   void send(std::uint32_t from, std::uint32_t to, std::size_t bytes,
             Task t) override;
   double drain() override;

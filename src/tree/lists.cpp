@@ -128,9 +128,13 @@ class ListBuilder {
 }  // namespace
 
 bool cubes_adjacent(const Cube& a, const Cube& b) {
-  // Distance between the two axis-aligned cubes, with a relative epsilon so
-  // grid-aligned touching counts as adjacent despite roundoff.
-  const double eps = 1e-9 * std::max(a.size, b.size);
+  // Distance between the two axis-aligned cubes.  Boxes of one domain cube
+  // sit on a shared dyadic grid, so two of them either touch or are at
+  // least one smaller-box width apart, while a face coordinate carries
+  // ulp(|x|) of rounding that can exceed any fixed share of a deep box far
+  // from the origin.  Snapping at 1e-3 of the smaller box still tells
+  // every gap from a touch and sits far above that noise.
+  const double eps = 1e-3 * std::min(a.size, b.size);
   const Vec3 ahi = a.high(), bhi = b.high();
   const double dx = std::max({a.low.x - bhi.x, b.low.x - ahi.x, 0.0});
   const double dy = std::max({a.low.y - bhi.y, b.low.y - ahi.y, 0.0});

@@ -49,7 +49,8 @@ struct InteractionLists {
 InteractionLists build_lists(const DualTree& dt);
 
 /// True if the two cubes touch or overlap (share at least a boundary
-/// point), i.e. they are NOT well separated.  Works across levels.
+/// point), i.e. they are NOT well separated.  Works across levels of one
+/// tree domain: a gap under 1e-3 of the smaller cube counts as touching.
 bool cubes_adjacent(const Cube& a, const Cube& b);
 
 }  // namespace amtfmm

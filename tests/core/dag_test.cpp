@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <span>
+
 #include "core/dag.hpp"
 #include "core/evaluator.hpp"
 #include "geom/distributions.hpp"
@@ -183,9 +186,7 @@ TEST(DagXOffsets, EveryIToIEdgeIsOnTheHalfBoxGrid) {
 /// Far from the origin a centre difference carries rounding of order
 /// ulp(|centre|), which dividing by a deep box magnifies.  A clustered
 /// ensemble translated by 1e4 puts that rounding in every snapped offset
-/// and must still land each I->I edge on the grid.  (Much farther out
-/// cubes_adjacent in tree/lists.cpp, which allows 1e-9 of the box size,
-/// gives way long before the half-box snap does.)
+/// and must still land each I->I edge on the grid.
 TEST(DagXOffsets, DeepTranslatedClusterStaysOnTheHalfBoxGrid) {
   Rng rng(29);
   const Vec3 far{1e4, 1e4, 1e4};
@@ -252,6 +253,89 @@ INSTANTIATE_TEST_SUITE_P(
         CountCase{Method::kFmmBasic, Distribution::kCube, Distribution::kCube, {0, 0, 0}, 30, 2, 2, false},
         CountCase{Method::kFmmBasic, Distribution::kSphere, Distribution::kSphere, {0, 0, 0}, 45, 1, 3, false},
         CountCase{Method::kBarnesHut, Distribution::kCube, Distribution::kCube, {0, 0, 0}, 30, 2, 2, false}));
+
+/// M and Is nodes index the source tree's points, so with ten times more
+/// sources than targets their boxes reach far past the end of the target
+/// points.  The engine slices target points for target-tree boxes only (a
+/// checked-container build aborts on the stray slice otherwise).
+TEST(CountingEndToEndSlices, TenTimesMoreSourcesThanTargets) {
+  for (const Method method : {Method::kFmmAdvanced, Method::kFmmBasic}) {
+    Rng rng(41);
+    const std::size_t ns = 20000, nt = 2000;
+    const auto src = generate_points(Distribution::kCube, ns, rng);
+    const auto tgt = generate_points(Distribution::kSphere, nt, rng);
+    const std::vector<double> q(ns, 1.0);
+    EvalConfig cfg;
+    cfg.method = method;
+    cfg.threshold = 30;
+    cfg.localities = 2;
+    cfg.cores_per_locality = 2;
+    Evaluator eval(make_kernel("counting"), cfg);
+    const EvalResult r = eval.evaluate(src, q, tgt);
+    ASSERT_EQ(r.potentials.size(), nt);
+    for (std::size_t i = 0; i < nt; ++i) {
+      ASSERT_NEAR(r.potentials[i], static_cast<double>(ns), 1e-6)
+          << to_string(method) << " target " << i;
+    }
+  }
+}
+
+double rel_l2_error(std::span<const double> got, std::span<const double> ref) {
+  double num = 0, den = 0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    num += (got[i] - ref[i]) * (got[i] - ref[i]);
+    den += ref[i] * ref[i];
+  }
+  return std::sqrt(num / den);
+}
+
+/// A face coordinate far from the origin carries ulp(|x|) of rounding,
+/// which on a deep tree exceeds any fixed share of the box size.  A
+/// Plummer cloud moved by 1e5 must still find every adjacency (a missed
+/// one becomes a list-2 offset that classify_direction rejects), build
+/// its DAG, and evaluate to three digits with either FMM method.
+class FarPlummerCloud : public ::testing::TestWithParam<Method> {};
+
+TEST_P(FarPlummerCloud, BuildsListsAndDagAndMatchesDirect) {
+  const Method method = GetParam();
+  Rng rng(29);
+  const Vec3 far{1e5, 1e5, 1e5};
+  const auto src = generate_points(Distribution::kPlummer, 6000, rng, far);
+  const auto tgt = generate_points(Distribution::kPlummer, 5000, rng,
+                                   far + Vec3{0.01, -0.02, 0.005});
+  const auto q = generate_charges(src.size(), rng, 0.1, 1.0);
+  constexpr int kThreshold = 4;
+
+  const DualTree dt = build_dual_tree(src, tgt, kThreshold, 2);
+  EXPECT_GE(std::max(dt.source.max_level(), dt.target.max_level()), 8);
+  auto counting = make_kernel("counting");
+  counting->setup(dt.source.domain().size, dt.source.max_level() + 1, 3);
+  const InteractionLists lists = build_lists(dt);
+  EXPECT_GT(lists.total_l2(), 0u);
+  DagBuildConfig dcfg;
+  dcfg.method = method;
+  const Dag dag = build_dag(dt, lists, *counting, dcfg, 2);
+  EXPECT_GT(dag.edges.size(), 0u);
+
+  EvalConfig cfg;
+  cfg.method = method;
+  cfg.threshold = kThreshold;
+  cfg.localities = 2;
+  cfg.cores_per_locality = 2;
+  Evaluator eval(make_kernel("laplace"), cfg);
+  const EvalResult r = eval.evaluate(src, q, tgt);
+  const auto ref = direct_sum(eval.kernel(), src, q, tgt);
+  EXPECT_LT(rel_l2_error(r.potentials, ref), 1e-3) << to_string(method);
+}
+
+INSTANTIATE_TEST_SUITE_P(Methods, FarPlummerCloud,
+                         ::testing::Values(Method::kFmmAdvanced,
+                                           Method::kFmmBasic),
+                         [](const auto& info) {
+                           return std::string(info.param == Method::kFmmBasic
+                                                  ? "basic"
+                                                  : "advanced");
+                         });
 
 TEST(DagStatsTable, MatchesPaperShapeOnUniformCube) {
   // Qualitative Table I/II checks on uniform cube data: every Is has

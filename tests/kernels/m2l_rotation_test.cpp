@@ -61,20 +61,32 @@ TEST(M2LRotationSet, CoversAll316WellSeparatedOffsets) {
   const auto offsets = m2l_offsets();
   ASSERT_EQ(offsets.size(), 316u);
   for (const Vec3& o : offsets) {
-    EXPECT_NE(set.find(o * kW, kW), nullptr)
+    const M2LDirection& dir = set.find(o * kW, kW);
+    EXPECT_NEAR(set.dist(dir.dist_class), o.norm(), 1e-14)
         << "(" << o.x << ", " << o.y << ", " << o.z << ")";
+    // The snap absorbs centre rounding far below its 1e-3 box tolerance.
+    EXPECT_EQ(&set.find(o * kW + Vec3{1e-6, -1e-6, 1e-6} * kW, kW), &dir);
   }
-  // Adjacent, non-integer, and out-of-range translations fall back to the
-  // naive path.
-  EXPECT_EQ(set.find(Vec3{kW, 0, 0}, kW), nullptr);
-  EXPECT_EQ(set.find(Vec3{0, 0, 0}, kW), nullptr);
-  EXPECT_EQ(set.find(Vec3{2.5 * kW, 0, 0}, kW), nullptr);
-  EXPECT_EQ(set.find(Vec3{4 * kW, 0, 0}, kW), nullptr);
 }
 
-// The rotation-based Laplace M2L is algebraically exact (rotations built
-// from a bandlimited-exact quadrature, axial table in closed form), so it
-// must agree with the dense double sum to rounding.
+// No M2L edge of an FMM DAG is adjacent, off the box grid or beyond three
+// boxes, so such an offset is a bug upstream: the set dies on it instead
+// of handing it to a slower path.
+TEST(M2LRotationSetDeathTest, RejectsUntabulatedOffsets) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const M2LRotationSet set(9);
+  EXPECT_DEATH(set.find(Vec3{kW, 0, 0}, kW), "adjacent");
+  EXPECT_DEATH(set.find(Vec3{0, 0, 0}, kW), "adjacent");
+  EXPECT_DEATH(set.find(Vec3{2.5 * kW, 0, 0}, kW), "off the box grid");
+  EXPECT_DEATH(set.find(Vec3{2 * kW, 0, 1.01 * kW}, kW), "off the box grid");
+  EXPECT_DEATH(set.find(Vec3{4 * kW, 0, 0}, kW), "beyond 3 boxes");
+  EXPECT_DEATH(set.find(Vec3{0, -3 * kW, 1e9 * kW}, kW), "beyond 3 boxes");
+  EXPECT_DEATH(M2LRotationSet().find(Vec3{2 * kW, 0, 0}, kW), "before it");
+}
+
+// The rotation-based Laplace M2L is algebraically exact (rotations from
+// the Wigner D-matrix recurrence, axial table in closed form), so it must
+// agree with the dense double sum to rounding.
 TEST(LaplaceM2LRotation, MatchesNaiveToMachinePrecision) {
   const auto offsets = m2l_offsets();
   const Vec3 cs{0.3125, 0.3125, 0.3125};
@@ -102,26 +114,33 @@ TEST(LaplaceM2LRotation, MatchesNaiveToMachinePrecision) {
   }
 }
 
-// With a non-integer translation the rotation mode has no precomputed
-// direction and must dispatch to the identical naive computation.
-TEST(LaplaceM2LRotation, FallsBackToNaiveOffGrid) {
-  auto k = make_kernel("laplace");
+// Rotation mode (the default) dies on an offset no FMM DAG emits — off
+// the grid, adjacent, or beyond three boxes — for both kernels, while
+// kNaive still takes any translation.
+class M2LRotationDeathTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(M2LRotationDeathTest, UntabulatedOffsetsAbortInRotationMode) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto k = make_kernel(GetParam(), /*yukawa_lambda=*/2.0);
   k->setup(kDomain, kMaxLevel, 3);
   const Vec3 cs{0.3125, 0.3125, 0.3125};
-  const Vec3 ct = cs + Vec3{2.37 * kW, 0.11 * kW, -1.02 * kW};
   const Ensemble src = random_box_points(cs, kW, 40, 11);
   CoeffVec m;
   k->s2m(src.pts, src.q, cs, kLevel, m);
-  CoeffVec naive(k->l_count(kLevel), cdouble{});
+  CoeffVec l(k->l_count(kLevel), cdouble{});
+  const Vec3 off_grid = cs + Vec3{2.37 * kW, 0.11 * kW, -1.02 * kW};
+  const Vec3 adjacent = cs + Vec3{kW, -kW, 0};
+  const Vec3 distant = cs + Vec3{0, 4 * kW, 2 * kW};
+  EXPECT_DEATH(k->m2l_acc(m, cs, off_grid, kLevel, l), "off the box grid");
+  EXPECT_DEATH(k->m2l_acc(m, cs, adjacent, kLevel, l), "adjacent");
+  EXPECT_DEATH(k->m2l_acc(m, cs, distant, kLevel, l), "beyond 3 boxes");
   k->set_m2l_mode(M2LMode::kNaive);
-  k->m2l_acc(m, cs, ct, kLevel, naive);
-  CoeffVec rotated(k->l_count(kLevel), cdouble{});
-  k->set_m2l_mode(M2LMode::kRotation);
-  k->m2l_acc(m, cs, ct, kLevel, rotated);
-  for (std::size_t i = 0; i < naive.size(); ++i) {
-    ASSERT_EQ(rotated[i], naive[i]);
-  }
+  k->m2l_acc(m, cs, off_grid, kLevel, l);
+  EXPECT_GT(max_abs(l), 0.0);
 }
+
+INSTANTIATE_TEST_SUITE_P(Kernels, M2LRotationDeathTest,
+                         ::testing::Values("laplace", "yukawa"));
 
 // The naive Yukawa M2L is itself numerical (sphere sampling + projection
 // with orientation-dependent aliasing at the working accuracy), so parity
