@@ -15,9 +15,12 @@
 #      test suite,
 #   7. UndefinedBehaviorSanitizer build + complete test suite,
 #   8. clang-format check (skipped when clang-format is unavailable),
-#   9. benchmark smoke run with JSON output, including the per-ISA SIMD
-#      kernel sweep gated by scripts/check_bench_kernels.py and the socket
-#      transport sweep gated by scripts/check_bench_transport.py,
+#   9. benchmark smoke run with JSON output, including the setup-phase
+#      micro_tree run (tree, lists and DAG build up to n = 1e5, with the
+#      dataflow_counting geometry; JSON checked, times not gated), the
+#      per-ISA SIMD kernel sweep gated by scripts/check_bench_kernels.py
+#      and the socket transport sweep gated by
+#      scripts/check_bench_transport.py,
 #  10. multi-process loopback: amtfmm_launch forks real socket localities
 #      (unix + tcp, 2 and 4 processes) and amtfmm_loopback asserts
 #      multi-process == in-process == sim potentials at 1e-12,
@@ -122,6 +125,11 @@ mkdir -p build/bench-smoke
   --json build/bench-smoke/micro_operators.json
 ./build/bench/micro_runtime --benchmark_min_time=0.05 \
   --json build/bench-smoke/micro_runtime.json
+./build/bench/micro_tree --benchmark_min_time=0.05 \
+  --benchmark_filter='-/1000000$' \
+  --benchmark_out=build/bench-smoke/micro_tree.json \
+  --benchmark_out_format=json
+python3 -m json.tool build/bench-smoke/micro_tree.json > /dev/null
 
 echo "== SIMD kernel sweep (BENCH_kernels.json) =="
 ./build/bench/micro_operators \

@@ -1,7 +1,10 @@
 #include "core/dag.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <array>
+#include <bit>
+#include <cstdlib>
+#include <utility>
 
 #include "support/error.hpp"
 
@@ -51,9 +54,43 @@ Axis classify_direction(int di, int dj, int dk) {
 
 namespace {
 
+/// classify_direction over the offset cube [-3, 3]^3, which every list-2
+/// offset lies in: one lookup per entry instead of the branch chain.
+class DirectionTable {
+ public:
+  DirectionTable() {
+    for (int i = -3; i <= 3; ++i) {
+      for (int j = -3; j <= 3; ++j) {
+        for (int k = -3; k <= 3; ++k) {
+          const bool near =
+              std::max({std::abs(i), std::abs(j), std::abs(k)}) < 2;
+          dir_[static_cast<std::size_t>(49 * (i + 3) + 7 * (j + 3) + k + 3)] =
+              near ? kNear
+                   : static_cast<std::uint8_t>(classify_direction(i, j, k));
+        }
+      }
+    }
+  }
+  std::uint8_t operator()(const List2Entry& e) const {
+    // Shifted to [0, 6]; a negative offset wraps far above 6.
+    const unsigned i = static_cast<unsigned>(e.di + 3);
+    const unsigned j = static_cast<unsigned>(e.dj + 3);
+    const unsigned k = static_cast<unsigned>(e.dk + 3);
+    AMTFMM_ASSERT_MSG(i <= 6 && j <= 6 && k <= 6,
+                      "list-2 offset outside [-3, 3]^3");
+    const std::uint8_t d = dir_[49 * i + 7 * j + k];
+    AMTFMM_ASSERT_MSG(d != kNear, "list-2 offset must be well separated");
+    return d;
+  }
+
+ private:
+  static constexpr std::uint8_t kNear = 0xff;  ///< not well separated
+  std::array<std::uint8_t, 343> dir_{};
+};
+
 /// Shared builder state.  Construction runs in two passes over a single
-/// edge-enumeration routine: pass 1 counts per-node out-degrees, pass 2
-/// fills the CSR arrays and in-degrees.
+/// edge-enumeration routine: pass 1 counts per-node out- and in-degrees,
+/// pass 2 fills the CSR arrays.
 class Builder {
  public:
   Builder(const DualTree& dt, const InteractionLists& lists,
@@ -68,14 +105,20 @@ class Builder {
     decide_nodes();
     if (cfg_.method == Method::kFmmAdvanced) plan_merges();
     create_nodes();
-    // Pass 1: count out-degrees.
+    // Pass 1: count out- and in-degrees into compact per-node arrays.
+    const std::size_t nn = dag_.nodes.size();
+    cursor_.assign(nn, 0);
+    in_degree_.assign(nn, 0);
     counting_ = true;
     enumerate_edges();
     std::uint32_t total = 0;
-    for (auto& n : dag_.nodes) {
-      n.first_edge = total;
-      total += n.num_edges;
-      n.num_edges = 0;  // reused as fill cursor
+    for (std::size_t n = 0; n < nn; ++n) {
+      DagNode& node = dag_.nodes[n];
+      node.first_edge = total;
+      node.num_edges = cursor_[n];
+      node.in_degree = in_degree_[n];
+      cursor_[n] = total;  // fill cursor
+      total += node.num_edges;
     }
     dag_.edges.resize(total);
     // Pass 2: fill.
@@ -169,55 +212,97 @@ class Builder {
   }
 
   // --- merge-and-shift planning -------------------------------------------
+  /// Entries [dir_first_[6b + d], dir_first_[6b + d + 1]) of dir_src_.
+  std::uint32_t group_begin(BoxIndex b, std::size_t d) const {
+    return dir_first_[6 * b + d];
+  }
+  std::uint32_t group_end(BoxIndex b, std::size_t d) const {
+    return dir_first_[6 * b + d + 1];
+  }
+
   void plan_merges() {
     const auto& tb = dt_.target.boxes();
-    // Per-box per-direction sorted source lists.
-    dir_lists_.assign(tb.size(), {});
+    // List 2 regrouped by (box, direction), one classification per entry.
+    dir_first_.assign(6 * tb.size() + 1, 0);
+    dir_src_.resize(lists_.total_l2());
+    merged_.assign(dir_src_.size(), 0);
+    const DirectionTable dir_of;
+    std::vector<std::uint8_t> dirs;
+    std::uint32_t next = 0;
     for (BoxIndex b = 0; b < tb.size(); ++b) {
-      for (const List2Entry& e : lists_.l2[b]) {
-        const Axis d = classify_direction(e.di, e.dj, e.dk);
-        dir_lists_[b][static_cast<std::size_t>(d)].push_back(e.src);
+      const std::vector<List2Entry>& l2 = lists_.l2[b];
+      dirs.resize(l2.size());
+      std::array<std::uint32_t, 6> at{};
+      for (std::size_t i = 0; i < l2.size(); ++i) {
+        dirs[i] = dir_of(l2[i]);
+        ++at[dirs[i]];
       }
-      for (auto& v : dir_lists_[b]) std::sort(v.begin(), v.end());
+      for (std::size_t d = 0; d < 6; ++d) {
+        dir_first_[6 * b + d] = next;
+        next += std::exchange(at[d], next);
+      }
+      for (std::size_t i = 0; i < l2.size(); ++i) {
+        dir_src_[at[dirs[i]]++] = l2[i].src;
+      }
     }
-    shared_.assign(tb.size(), {});
-    residual_ = dir_lists_;  // residual starts as the full lists
+    dir_first_[6 * tb.size()] = next;
+
+    // A source box is shared by the children of p in direction d when it
+    // sits in every participating child's group.  Count its hits in the
+    // low 4 bits of a per-source-box counter stamped with the round of
+    // (p, d) above them, so a count left by an earlier round reads as
+    // zero.  Each box's list 2 names a source at most once.
+    const std::size_t ns = dt_.source.boxes().size();
+    std::vector<std::uint32_t> hits(ns, 0);
+    std::uint32_t round = 0;
     for (BoxIndex p = 0; p < tb.size(); ++p) {
       if (tb[p].is_leaf() || !on_path_[p] || lists_.dag_leaf[p]) continue;
       if (tb[p].level < 2) continue;  // no It node to merge at
-      for (std::size_t d = 0; d < 6; ++d) {
+      for (std::uint8_t d = 0; d < 6; ++d) {
         // Children participating in this direction.
-        std::vector<BoxIndex> kids;
-        for (const BoxIndex c : tb[p].child) {
+        std::uint8_t kids = 0;
+        int nkids = 0;
+        for (std::size_t slot = 0; slot < 8; ++slot) {
+          const BoxIndex c = tb[p].child[slot];
           if (c != kNoBox && on_path_[c] &&
-              !dir_lists_[c][d].empty()) {
-            kids.push_back(c);
+              group_begin(c, d) < group_end(c, d)) {
+            kids |= static_cast<std::uint8_t>(1u << slot);
+            ++nkids;
           }
         }
-        if (kids.size() < 2) continue;
-        std::vector<BoxIndex> inter = dir_lists_[kids[0]][d];
-        std::vector<BoxIndex> tmp;
-        for (std::size_t i = 1; i < kids.size() && !inter.empty(); ++i) {
-          tmp.clear();
-          std::set_intersection(inter.begin(), inter.end(),
-                                dir_lists_[kids[i]][d].begin(),
-                                dir_lists_[kids[i]][d].end(),
-                                std::back_inserter(tmp));
-          inter.swap(tmp);
-        }
-        if (inter.empty()) continue;
+        if (nkids < 2) continue;
+        ++round;
+        AMTFMM_ASSERT(round < (1u << 28));
+        for_each_kid(p, kids, [&](BoxIndex c) {
+          for (std::uint32_t k = group_begin(c, d); k < group_end(c, d); ++k) {
+            std::uint32_t& h = hits[dir_src_[k]];
+            h = ((h >> 4) == round ? h : round << 4) + 1;
+          }
+        });
+        const std::uint32_t in_all = round << 4 | static_cast<unsigned>(nkids);
+        bool shared = false;
+        for_each_kid(p, kids, [&](BoxIndex c) {
+          for (std::uint32_t k = group_begin(c, d); k < group_end(c, d); ++k) {
+            if (hits[dir_src_[k]] == in_all) {
+              merged_[k] = 1;
+              shared = true;
+            }
+          }
+        });
+        if (!shared) continue;
         it_fwd_[p] = 1;
-        shared_[p][d] = inter;
-        merge_kids_[{p, static_cast<int>(d)}] = kids;
-        for (const BoxIndex c : kids) {
-          it_own_[c] = 1;  // receives the shift
-          tmp.clear();
-          std::set_difference(residual_[c][d].begin(), residual_[c][d].end(),
-                              inter.begin(), inter.end(),
-                              std::back_inserter(tmp));
-          residual_[c][d].swap(tmp);
-        }
+        for_each_kid(p, kids, [&](BoxIndex c) { it_own_[c] = 1; });
+        merges_.push_back({p, d, kids});
       }
+    }
+  }
+
+  /// Calls f(child) for the child slots set in `kids`, in slot order.
+  template <class F>
+  void for_each_kid(BoxIndex p, std::uint8_t kids, F&& f) const {
+    for (unsigned m = kids; m != 0; m &= m - 1) {
+      const auto slot = static_cast<std::size_t>(std::countr_zero(m));
+      f(dt_.target.box(p).child[slot]);
     }
   }
 
@@ -231,6 +316,8 @@ class Builder {
     dag_.it_of_box.assign(tb.size(), kNoNode);
     dag_.l_of_box.assign(tb.size(), kNoNode);
     dag_.t_of_box.assign(tb.size(), kNoNode);
+    // At most three node kinds per box (S, M, Is or It, L, T).
+    dag_.nodes.reserve(3 * (sb.size() + tb.size()));
 
     auto add = [&](NodeKind kind, BoxIndex box, std::uint8_t level,
                    std::uint32_t locality, std::uint64_t bytes) {
@@ -290,20 +377,12 @@ class Builder {
   void emit(NodeIndex from, NodeIndex to, Operator op, std::uint8_t dir,
             std::uint8_t slot, std::uint32_t bytes, float metric) {
     AMTFMM_ASSERT(from != kNoNode && to != kNoNode);
-    DagNode& src = dag_.nodes[from];
     if (counting_) {
-      src.num_edges++;
+      ++cursor_[from];
+      ++in_degree_[to];
       return;
     }
-    DagEdge e;
-    e.target = to;
-    e.op = op;
-    e.dir = dir;
-    e.slot = slot;
-    e.bytes = bytes;
-    e.cost_metric = metric;
-    dag_.edges[src.first_edge + src.num_edges++] = e;
-    dag_.nodes[to].in_degree++;
+    dag_.edges[cursor_[from]++] = DagEdge{to, op, dir, slot, bytes, metric};
   }
 
   void enumerate_edges() {
@@ -364,33 +443,43 @@ class Builder {
 
     if (advanced) {
       // Merge legs: Is(src) -> It(parent).fwd, then It(parent) -> It(child).
-      for (const auto& [key, kids] : merge_kids_) {
-        const auto [p, d] = key;
+      // The shared sources are the merged entries of any participating
+      // child's group; the lowest child slot's is read.
+      for (const Merge& m : merges_) {
+        const BoxIndex p = m.parent;
         const int child_level = tb[p].level + 1;
         const auto bytes =
             static_cast<std::uint32_t>(kernel_.x_wire_bytes(child_level));
         const auto metric = static_cast<float>(kernel_.x_count(child_level));
-        for (const BoxIndex src : shared_[p][static_cast<std::size_t>(d)]) {
-          emit(dag_.is_of_box[src], dag_.it_of_box[p], Operator::kI2I,
-               static_cast<std::uint8_t>(d), 1, bytes, metric);
+        const BoxIndex first =
+            tb[p].child[static_cast<std::size_t>(std::countr_zero(m.kids))];
+        for (std::uint32_t k = group_begin(first, m.dir);
+             k < group_end(first, m.dir); ++k) {
+          if (merged_[k]) {
+            emit(dag_.is_of_box[dir_src_[k]], dag_.it_of_box[p],
+                 Operator::kI2I, m.dir, 1, bytes, metric);
+          }
         }
-        for (const BoxIndex c : kids) {
-          emit(dag_.it_of_box[p], dag_.it_of_box[c], Operator::kI2I,
-               static_cast<std::uint8_t>(d), 0, bytes, metric);
-        }
+        for_each_kid(p, m.kids, [&](BoxIndex c) {
+          emit(dag_.it_of_box[p], dag_.it_of_box[c], Operator::kI2I, m.dir,
+               0, bytes, metric);
+        });
       }
       // Residual direct legs and the I->L conversions.
       for (BoxIndex b = 0; b < tb.size(); ++b) {
         if (!on_path_[b]) continue;
         const int lvl = tb[b].level;
         if (it_own_[b]) {
-          for (std::size_t d = 0; d < 6; ++d) {
-            const auto bytes =
-                static_cast<std::uint32_t>(kernel_.x_wire_bytes(lvl));
-            const auto metric = static_cast<float>(kernel_.x_count(lvl));
-            for (const BoxIndex src : residual_[b][d]) {
-              emit(dag_.is_of_box[src], dag_.it_of_box[b], Operator::kI2I,
-                   static_cast<std::uint8_t>(d), 0, bytes, metric);
+          const auto bytes =
+              static_cast<std::uint32_t>(kernel_.x_wire_bytes(lvl));
+          const auto metric = static_cast<float>(kernel_.x_count(lvl));
+          for (std::uint8_t d = 0; d < 6; ++d) {
+            for (std::uint32_t k = group_begin(b, d); k < group_end(b, d);
+                 ++k) {
+              if (!merged_[k]) {
+                emit(dag_.is_of_box[dir_src_[k]], dag_.it_of_box[b],
+                     Operator::kI2I, d, 0, bytes, metric);
+              }
             }
           }
           emit(dag_.it_of_box[b], dag_.l_of_box[b], Operator::kI2L, 0, 0,
@@ -475,28 +564,38 @@ class Builder {
     if (cfg_.placement != Placement::kCommMin || num_localities_ <= 1) return;
     // Move each It node to the locality that sends it the most bytes
     // (approximating the paper's communication-minimizing policy; leaf M/L
-    // stay pinned to the data distribution as required).
-    std::unordered_map<NodeIndex, std::unordered_map<std::uint32_t, std::uint64_t>>
-        tally;
+    // stay pinned to the data distribution as required).  The tally reads
+    // every sender at its owner, before any It node moves.  Only I->I
+    // edges end at It nodes, and only Is and It nodes send them.
+    const std::size_t nl = static_cast<std::size_t>(num_localities_);
+    std::vector<std::uint32_t> row(dag_.nodes.size(), 0);
+    std::vector<NodeIndex> its;
+    for (NodeIndex n = 0; n < dag_.nodes.size(); ++n) {
+      if (dag_.nodes[n].kind != NodeKind::kIt) continue;
+      row[n] = static_cast<std::uint32_t>(its.size());
+      its.push_back(n);
+    }
+    std::vector<std::uint64_t> tally(its.size() * nl, 0);
     for (const DagNode& n : dag_.nodes) {
+      if (n.kind != NodeKind::kIs && n.kind != NodeKind::kIt) continue;
       for (std::uint32_t e = n.first_edge; e < n.first_edge + n.num_edges;
            ++e) {
         const DagEdge& edge = dag_.edges[e];
-        if (dag_.nodes[edge.target].kind == NodeKind::kIt) {
-          tally[edge.target][n.locality] += edge.bytes;
+        if (edge.op == Operator::kI2I) {
+          tally[row[edge.target] * nl + n.locality] += edge.bytes;
         }
       }
     }
-    for (auto& [node, per_loc] : tally) {
-      std::uint32_t best = dag_.nodes[node].locality;
-      std::uint64_t best_bytes = 0;
-      for (const auto& [loc, bytes] : per_loc) {
-        if (bytes > best_bytes) {
-          best_bytes = bytes;
-          best = loc;
-        }
+    // An It node leaves its owner only for a locality sending it strictly
+    // more bytes; among tied other localities the lowest index wins.
+    for (std::size_t r = 0; r < its.size(); ++r) {
+      DagNode& it = dag_.nodes[its[r]];
+      const std::uint64_t* bytes = &tally[r * nl];
+      std::uint32_t best = it.locality;
+      for (std::uint32_t loc = 0; loc < nl; ++loc) {
+        if (bytes[loc] > bytes[best]) best = loc;
       }
-      dag_.nodes[node].locality = best;
+      it.locality = best;
     }
   }
 
@@ -511,14 +610,6 @@ class Builder {
     }
   }
 
-  struct PairHash {
-    std::size_t operator()(const std::pair<BoxIndex, int>& p) const {
-      return std::hash<std::uint64_t>()(
-          (static_cast<std::uint64_t>(p.first) << 3) ^
-          static_cast<std::uint64_t>(p.second));
-    }
-  };
-
   const DualTree& dt_;
   const InteractionLists& lists_;
   const Kernel& kernel_;
@@ -527,13 +618,26 @@ class Builder {
 
   Dag dag_;
   bool counting_ = true;
+  std::vector<std::uint32_t> cursor_;     ///< out-degree, then fill cursor
+  std::vector<std::uint32_t> in_degree_;
   std::vector<std::uint8_t> m_needed_, is_needed_, s_used_;
   std::vector<std::uint8_t> l_active_, it_own_, it_fwd_, on_path_;
-  std::vector<std::array<std::vector<BoxIndex>, 6>> dir_lists_;
-  std::vector<std::array<std::vector<BoxIndex>, 6>> shared_;
-  std::vector<std::array<std::vector<BoxIndex>, 6>> residual_;
-  std::unordered_map<std::pair<BoxIndex, int>, std::vector<BoxIndex>, PairHash>
-      merge_kids_;
+
+  /// List 2 grouped by (target box, direction); see group_begin.
+  std::vector<std::uint32_t> dir_first_;
+  std::vector<BoxIndex> dir_src_;
+  /// merged_[k]: entry k is covered by a merge at its box's parent; the
+  /// unmerged entries are the box's residual direct legs.
+  std::vector<std::uint8_t> merged_;
+
+  /// One merge at `parent` in direction `dir`; `kids` masks the child
+  /// slots that share it.  Kept in (parent, direction) order.
+  struct Merge {
+    BoxIndex parent;
+    std::uint8_t dir;
+    std::uint8_t kids;
+  };
+  std::vector<Merge> merges_;
 };
 
 }  // namespace

@@ -44,12 +44,12 @@ PreparedModel build_model(Kernel& kernel, const EvalConfig& cfg,
                std::max(p.tree.source.max_level(),
                         p.tree.target.max_level()) + 1,
                cfg.digits);
-  p.lists = build_lists(p.tree);
   DagBuildConfig dcfg;
   dcfg.method = cfg.method;
   dcfg.placement = cfg.placement;
   dcfg.bh_theta = cfg.bh_theta;
-  p.dag = build_dag(p.tree, p.lists, kernel, dcfg, localities);
+  // The lists live only as long as the DAG build that reads them.
+  p.dag = build_dag(p.tree, build_lists(p.tree), kernel, dcfg, localities);
   return p;
 }
 
@@ -119,7 +119,10 @@ void EvalPipeline::snapshot_baseline() {
 EvalResult EvalPipeline::evaluate(std::span<const double> charges) {
   AMTFMM_ASSERT(charges.size() == model_.tree.source.num_points());
   EvalResult out;
-  out.dag = model_.dag.stats();
+  // The DAG changes only in build, rebuild and incremental refresh; each
+  // clears the cached stats, so an epoch recomputes them only after one.
+  if (!model_.dag_stats) model_.dag_stats = model_.dag.stats();
+  out.dag = *model_.dag_stats;
   out.setup_time = setup_seconds_;
 
   // Charges into tree order; the staging vectors are resident and only
@@ -185,6 +188,11 @@ BatchEvalResult EvalPipeline::evaluate_batch(
 
 PipelineUpdateStats EvalPipeline::apply_update(bool source_side,
                                                const PipelineUpdate& u) {
+  // Reject bad coordinates before any state changes: a non-finite move
+  // would fail Tree::update's domain test and force a rebuild, which
+  // drops the engine before build_dual_tree throws.
+  for (const PointMove& m : u.moves) require_finite({&m.position, 1}, "moved");
+  require_finite(u.inserted, "inserted");
   auto& pts = source_side ? src_pts_ : tgt_pts_;
   // Patch the original-order ensemble with the same vector-erase-then-
   // append renumbering Tree::update documents.
@@ -210,6 +218,7 @@ PipelineUpdateStats EvalPipeline::apply_update(bool source_side,
   // Structure preserved: the DAG topology and the resident LCO arena are
   // reused; only the count-dependent annotations change.
   refresh_dag_metrics(model_.dag, model_.tree);
+  model_.dag_stats.reset();
   auto& ctr = ex_->counters();
   if (ctr.enabled() && r->dirty_leaves > 0) {
     ctr.add(0, ex_->runtime().ids().serve_dirty_leaves, r->dirty_leaves);

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -12,13 +13,16 @@ namespace net {
 class NetExecutor;
 }
 
-/// The setup artifacts of one geometry: dual tree, interaction lists, and
-/// the explicit DAG.  Deterministic from the inputs and the configuration
-/// alone (the SPMD agreement distributed ranks rely on).
+/// The setup artifacts of one geometry: dual tree and the explicit DAG.
+/// Deterministic from the inputs and the configuration alone (the SPMD
+/// agreement distributed ranks rely on).  The interaction lists are a
+/// temporary of the DAG build: nothing reads them afterwards.
 struct PreparedModel {
   DualTree tree;
-  InteractionLists lists;
   Dag dag;
+  /// dag.stats(), filled on first use and cleared whenever the DAG's
+  /// annotations change (build_model leaves it empty).
+  std::optional<DagStats> dag_stats;
 };
 
 /// Builds the model for one geometry: tree, kernel tables, lists, DAG.
@@ -107,7 +111,9 @@ class EvalPipeline {
   /// structure-preserving incremental path (dirty-leaf re-sort + DAG
   /// metric refresh, LCO arena untouched); rebuilds everything when the
   /// tree structure would change.  Source indices in later `charges` spans
-  /// follow the update's vector-erase-then-append renumbering.
+  /// follow the update's vector-erase-then-append renumbering.  Throws
+  /// config_error, leaving the pipeline unchanged, for a non-finite moved
+  /// or inserted coordinate.
   PipelineUpdateStats update_sources(const PipelineUpdate& u);
   PipelineUpdateStats update_targets(const PipelineUpdate& u);
 

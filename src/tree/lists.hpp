@@ -45,12 +45,9 @@ struct InteractionLists {
   std::size_t total_l4() const;
 };
 
-/// Builds all lists by a dual-tree traversal.
+/// Builds all lists by a dual-tree traversal.  Both trees must share one
+/// domain cube (build_dual_tree guarantees it): adjacency and list-2
+/// offsets are decided exactly on the boxes' integer grid positions.
 InteractionLists build_lists(const DualTree& dt);
-
-/// True if the two cubes touch or overlap (share at least a boundary
-/// point), i.e. they are NOT well separated.  Works across levels of one
-/// tree domain: a gap under 1e-3 of the smaller cube counts as touching.
-bool cubes_adjacent(const Cube& a, const Cube& b);
 
 }  // namespace amtfmm

@@ -1,7 +1,9 @@
 #include "tree/tree.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
+#include <string>
 
 #include "geom/morton.hpp"
 #include "support/error.hpp"
@@ -320,9 +322,25 @@ std::vector<std::size_t> Tree::boxes_per_level() const {
   return out;
 }
 
+void require_finite(std::span<const Vec3> pts, const char* what) {
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    const Vec3& p = pts[i];
+    if (!std::isfinite(p.x) || !std::isfinite(p.y) || !std::isfinite(p.z)) {
+      throw config_error(std::string("non-finite ") + what + " coordinate (" +
+                         std::to_string(p.x) + ", " + std::to_string(p.y) +
+                         ", " + std::to_string(p.z) + ") at index " +
+                         std::to_string(i));
+    }
+  }
+}
+
 DualTree build_dual_tree(std::span<const Vec3> sources,
                          std::span<const Vec3> targets, int threshold,
                          int num_localities) {
+  // NaN would pass bounding_cube's min/max unnoticed and reach
+  // morton_key's integer cast; an infinity blows the domain up.
+  require_finite(sources, "source");
+  require_finite(targets, "target");
   const Cube domain = bounding_cube(sources, targets);
   DualTree dt{Tree::build(sources, domain, threshold, num_localities),
               Tree::build(targets, domain, threshold, num_localities)};

@@ -124,9 +124,14 @@ struct DualTree {
   Tree target;
 };
 
-/// Convenience builder handling the shared bounding cube.
+/// Convenience builder handling the shared bounding cube.  Throws
+/// config_error for any non-finite source or target coordinate.
 DualTree build_dual_tree(std::span<const Vec3> sources,
                          std::span<const Vec3> targets, int threshold,
                          int num_localities);
+
+/// Throws config_error unless every coordinate in `pts` is finite; `what`
+/// names the points in the message.
+void require_finite(std::span<const Vec3> pts, const char* what);
 
 }  // namespace amtfmm

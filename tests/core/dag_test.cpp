@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <iterator>
 #include <span>
+#include <tuple>
+#include <vector>
 
 #include "core/dag.hpp"
 #include "core/evaluator.hpp"
@@ -100,6 +105,162 @@ TEST_P(DagStructure, IsAcyclicWithConsistentDegrees) {
     EXPECT_GT(s.nodes[static_cast<int>(NodeKind::kS)].count, 0u);
     EXPECT_GT(s.nodes[static_cast<int>(NodeKind::kT)].count, 0u);
   }
+}
+
+/// One I->I or I->L edge: (source node, target node, dir, slot, bytes).
+using XEdge = std::tuple<NodeIndex, NodeIndex, int, int, std::uint32_t>;
+
+/// The DAG's I->I and I->L edges, sorted.
+std::vector<XEdge> x_edges(const Dag& dag) {
+  std::vector<XEdge> out;
+  for (NodeIndex ni = 0; ni < dag.nodes.size(); ++ni) {
+    const DagNode& n = dag.nodes[ni];
+    for (std::uint32_t ei = n.first_edge; ei < n.first_edge + n.num_edges;
+         ++ei) {
+      const DagEdge& e = dag.edges[ei];
+      if (e.op == Operator::kI2I || e.op == Operator::kI2L) {
+        out.emplace_back(ni, e.target, e.dir, e.slot, e.bytes);
+      }
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Oracle for the merge-and-shift plan, by set algebra over sorted
+/// per-(box, direction) source vectors: each level >= 2 parent on the
+/// active path merges, per direction, the sources common to all of its
+/// participating children (std::set_intersection); each such child keeps
+/// the rest as residual direct legs (std::set_difference).  Returns the
+/// I->I and I->L edges the plan implies, sorted, with node ids read from
+/// `dag`'s per-box maps.
+std::vector<XEdge> set_algebra_plan(const DualTree& dt,
+                                    const InteractionLists& lists,
+                                    const Kernel& kernel, const Dag& dag) {
+  const auto& tb = dt.target.boxes();
+  const std::size_t nt = tb.size();
+  // The active path: root down to the dag leaves.
+  std::vector<std::uint8_t> on_path(nt, 0);
+  std::vector<BoxIndex> stack{dt.target.root()};
+  while (!stack.empty()) {
+    const BoxIndex b = stack.back();
+    stack.pop_back();
+    on_path[b] = 1;
+    if (lists.dag_leaf[b]) continue;
+    for (const BoxIndex c : tb[b].child) {
+      if (c != kNoBox) stack.push_back(c);
+    }
+  }
+  std::vector<std::array<std::vector<BoxIndex>, 6>> dir(nt);
+  std::vector<std::uint8_t> it_own(nt, 0);
+  for (BoxIndex b = 0; b < nt; ++b) {
+    for (const List2Entry& e : lists.l2[b]) {
+      dir[b][static_cast<std::size_t>(classify_direction(e.di, e.dj, e.dk))]
+          .push_back(e.src);
+    }
+    for (auto& v : dir[b]) std::sort(v.begin(), v.end());
+    if (on_path[b] && !lists.l2[b].empty()) it_own[b] = 1;
+  }
+  auto node = [](const std::vector<NodeIndex>& of_box, BoxIndex b) {
+    EXPECT_NE(of_box[b], kNoNode) << "box " << b;
+    return of_box[b];
+  };
+  std::vector<XEdge> out;
+  auto residual = dir;
+  for (BoxIndex p = 0; p < nt; ++p) {
+    if (tb[p].is_leaf() || !on_path[p] || lists.dag_leaf[p]) continue;
+    if (tb[p].level < 2) continue;
+    const auto bytes =
+        static_cast<std::uint32_t>(kernel.x_wire_bytes(tb[p].level + 1));
+    for (int d = 0; d < 6; ++d) {
+      std::vector<BoxIndex> kids;
+      for (const BoxIndex c : tb[p].child) {
+        if (c != kNoBox && on_path[c] && !dir[c][d].empty()) {
+          kids.push_back(c);
+        }
+      }
+      if (kids.size() < 2) continue;
+      std::vector<BoxIndex> inter = dir[kids[0]][d];
+      for (std::size_t i = 1; i < kids.size(); ++i) {
+        std::vector<BoxIndex> next;
+        std::set_intersection(inter.begin(), inter.end(),
+                              dir[kids[i]][d].begin(), dir[kids[i]][d].end(),
+                              std::back_inserter(next));
+        inter.swap(next);
+      }
+      if (inter.empty()) continue;
+      for (const BoxIndex src : inter) {
+        out.emplace_back(node(dag.is_of_box, src), node(dag.it_of_box, p), d,
+                         1, bytes);
+      }
+      for (const BoxIndex c : kids) {
+        out.emplace_back(node(dag.it_of_box, p), node(dag.it_of_box, c), d, 0,
+                         bytes);
+        it_own[c] = 1;
+        std::vector<BoxIndex> rest;
+        std::set_difference(residual[c][d].begin(), residual[c][d].end(),
+                            inter.begin(), inter.end(),
+                            std::back_inserter(rest));
+        residual[c][d].swap(rest);
+      }
+    }
+  }
+  for (BoxIndex b = 0; b < nt; ++b) {
+    if (!it_own[b]) continue;
+    const auto bytes =
+        static_cast<std::uint32_t>(kernel.x_wire_bytes(tb[b].level));
+    for (int d = 0; d < 6; ++d) {
+      for (const BoxIndex src : residual[b][d]) {
+        out.emplace_back(node(dag.is_of_box, src), node(dag.it_of_box, b), d,
+                         0, bytes);
+      }
+    }
+    out.emplace_back(
+        node(dag.it_of_box, b), node(dag.l_of_box, b), 0, 0,
+        static_cast<std::uint32_t>(kernel.l_wire_bytes(tb[b].level)));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Builds the DAG of (src, tgt) at each locality count and requires its
+/// I->I and I->L edges to equal the set-algebra plan as multisets.
+void expect_plan_matches_oracle(const std::vector<Vec3>& src,
+                                const std::vector<Vec3>& tgt,
+                                const char* kernel_name, Method method,
+                                int threshold) {
+  for (const int localities : {1, 2, 3, 8}) {
+    SCOPED_TRACE(testing::Message() << localities << " localities");
+    const DualTree dt = build_dual_tree(src, tgt, threshold, localities);
+    auto kernel = make_kernel(kernel_name);
+    kernel->setup(dt.source.domain().size,
+                  std::max(dt.source.max_level(), dt.target.max_level()) + 1,
+                  3);
+    const InteractionLists lists = build_lists(dt);
+    DagBuildConfig cfg;
+    cfg.method = method;
+    const Dag dag = build_dag(dt, lists, *kernel, cfg, localities);
+    const std::vector<XEdge> got = x_edges(dag);
+    if (method != Method::kFmmAdvanced) {
+      EXPECT_TRUE(got.empty());
+      continue;
+    }
+    const std::vector<XEdge> want = set_algebra_plan(dt, lists, *kernel, dag);
+    EXPECT_GT(want.size(), 0u);
+    ASSERT_EQ(got.size(), want.size());
+    const auto diff = std::mismatch(got.begin(), got.end(), want.begin());
+    EXPECT_TRUE(diff.first == got.end())
+        << "first differing edge at sorted position "
+        << (diff.first - got.begin());
+  }
+}
+
+TEST_P(DagStructure, MergePlanMatchesSetAlgebraOracle) {
+  const DagCase c = GetParam();
+  Rng rng(11);
+  const auto src = generate_points(c.dist, 3000, rng);
+  const auto tgt = generate_points(c.dist, 2500, rng, c.offset);
+  expect_plan_matches_oracle(src, tgt, c.kernel, c.method, c.threshold);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -336,6 +497,17 @@ INSTANTIATE_TEST_SUITE_P(Methods, FarPlummerCloud,
                                                   ? "basic"
                                                   : "advanced");
                          });
+
+/// The merge plan of a deep tree far from the origin, where the list-2
+/// offsets come from boxes whose face coordinates round.
+TEST(MergePlanOracle, FarPlummerCloudMatchesSetAlgebra) {
+  Rng rng(29);
+  const Vec3 far{1e5, 1e5, 1e5};
+  const auto src = generate_points(Distribution::kPlummer, 6000, rng, far);
+  const auto tgt = generate_points(Distribution::kPlummer, 5000, rng,
+                                   far + Vec3{0.01, -0.02, 0.005});
+  expect_plan_matches_oracle(src, tgt, "counting", Method::kFmmAdvanced, 4);
+}
 
 TEST(DagStatsTable, MatchesPaperShapeOnUniformCube) {
   // Qualitative Table I/II checks on uniform cube data: every Is has

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "core/evaluator.hpp"
+#include "core/pipeline.hpp"
 #include "geom/distributions.hpp"
 
 namespace amtfmm {
@@ -188,6 +191,114 @@ TEST(Evaluator, RejectsBadConfiguration) {
   EvalConfig cfg;
   cfg.threshold = 0;
   EXPECT_THROW(Evaluator(make_kernel("laplace"), cfg), config_error);
+}
+
+struct DegenerateCase {
+  const char* name;
+  std::vector<Vec3> sources;
+  std::vector<Vec3> targets;
+};
+
+std::vector<DegenerateCase> degenerate_cases() {
+  Rng rng(37);
+  const auto cube = generate_points(Distribution::kCube, 400, rng);
+  const std::vector<Vec3> few(cube.begin(), cube.begin() + 300);
+  const Vec3 p{0.3, -0.2, 0.7};
+  return {
+      {"no sources", {}, few},
+      {"no targets", few, {}},
+      {"nothing", {}, {}},
+      {"one source, one target", {p}, {{0.9, 0.1, -0.4}}},
+      {"coincident sources", std::vector<Vec3>(500, p), few},
+      // Both trees refine down to one depth-20 leaf (the level cap).
+      {"all at one point", std::vector<Vec3>(200, p),
+       std::vector<Vec3>(150, p)},
+  };
+}
+
+/// Degenerate ensembles give defined results: every target counts the
+/// total charge exactly (0 with no sources), and Laplace stays finite.
+TEST(DegenerateInputs, CountingIsExactAndLaplaceIsFinite) {
+  for (const DegenerateCase& c : degenerate_cases()) {
+    SCOPED_TRACE(c.name);
+    // Small-integer charges: every partial sum is exact.
+    std::vector<double> q(c.sources.size());
+    double total = 0.0;
+    for (std::size_t i = 0; i < q.size(); ++i) {
+      q[i] = static_cast<double>(i % 3 + 1);
+      total += q[i];
+    }
+    EvalConfig cfg;
+    cfg.threshold = 20;
+    cfg.localities = 2;
+    cfg.cores_per_locality = 1;
+    Evaluator counting(make_kernel("counting"), cfg);
+    const EvalResult rc = counting.evaluate(c.sources, q, c.targets);
+    ASSERT_EQ(rc.potentials.size(), c.targets.size());
+    for (const double phi : rc.potentials) EXPECT_EQ(phi, total);
+
+    Evaluator laplace(make_kernel("laplace"), cfg);
+    const EvalResult rl = laplace.evaluate(c.sources, q, c.targets);
+    ASSERT_EQ(rl.potentials.size(), c.targets.size());
+    for (const double phi : rl.potentials) EXPECT_TRUE(std::isfinite(phi));
+  }
+  const DegenerateCase one_point = degenerate_cases().back();
+  const DualTree dt =
+      build_dual_tree(one_point.sources, one_point.targets, 20, 1);
+  EXPECT_EQ(dt.source.max_level(), 20);
+  EXPECT_EQ(dt.target.max_level(), 20);
+}
+
+/// A NaN or an infinity in any coordinate is a typed error, whether it
+/// arrives with the ensembles or with an update; a rejected update leaves
+/// the pipeline as it was.
+TEST(DegenerateInputs, NonFiniteCoordinatesAreConfigErrors) {
+  Rng rng(41);
+  const auto src = generate_points(Distribution::kCube, 600, rng);
+  const auto tgt = generate_points(Distribution::kCube, 500, rng);
+  const std::vector<double> q(src.size(), 1.0);
+  EvalConfig cfg;
+  cfg.threshold = 20;
+  cfg.localities = 2;
+  cfg.cores_per_locality = 1;
+  const double bad_values[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+  Evaluator eval(make_kernel("counting"), cfg);
+  for (const double bad : bad_values) {
+    for (int axis = 0; axis < 3; ++axis) {
+      SCOPED_TRACE(testing::Message() << bad << " on axis " << axis);
+      auto poison = [&](std::vector<Vec3> pts) {
+        double* x[] = {&pts[7].x, &pts[7].y, &pts[7].z};
+        *x[axis] = bad;
+        return pts;
+      };
+      EXPECT_THROW(eval.evaluate(poison(src), q, tgt), config_error);
+      EXPECT_THROW(eval.evaluate(src, q, poison(tgt)), config_error);
+    }
+  }
+
+  auto kernel = make_kernel("counting");
+  EvalPipeline pipe(*kernel, cfg, src, tgt);
+  const EvalResult before = pipe.evaluate(q);
+  for (const double bad : bad_values) {
+    SCOPED_TRACE(testing::Message() << bad);
+    const Vec3 p{0.5, bad, 0.5};
+    PipelineUpdate move;
+    move.moves.push_back({3, p});
+    PipelineUpdate insert;
+    insert.inserted.push_back(p);
+    EXPECT_THROW(pipe.update_sources(move), config_error);
+    EXPECT_THROW(pipe.update_sources(insert), config_error);
+    EXPECT_THROW(pipe.update_targets(move), config_error);
+    EXPECT_THROW(pipe.update_targets(insert), config_error);
+  }
+  EXPECT_EQ(pipe.num_sources(), src.size());
+  EXPECT_EQ(pipe.num_targets(), tgt.size());
+  EXPECT_EQ(pipe.rebuilds(), 0u);
+  const EvalResult after = pipe.evaluate(q);
+  EXPECT_EQ(pipe.epochs(), 2u) << "the resident engine survives";
+  EXPECT_EQ(after.potentials, before.potentials);
 }
 
 }  // namespace

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
-#include "core/evaluator.hpp"
+#include "core/pipeline.hpp"
 #include "geom/distributions.hpp"
 
 namespace amtfmm {
@@ -156,26 +156,15 @@ TEST_P(ExpansionLcoCodec, SerializationRoundTripsEveryPayloadKind) {
 INSTANTIATE_TEST_SUITE_P(Kernels, ExpansionLcoCodec,
                          ::testing::Values("laplace", "yukawa"));
 
-struct EnginePlumbing {
-  DualTree tree;
-  InteractionLists lists;
-  Dag dag;
-};
-
-EnginePlumbing make_plumbing(Kernel& kernel, int localities, Method method) {
+PreparedModel make_plumbing(Kernel& kernel, int localities, Method method) {
   Rng rng(5);
   const std::size_t n = 3000;
   const auto src = generate_points(Distribution::kCube, n, rng);
   const auto tgt = generate_points(Distribution::kCube, n, rng);
-  EnginePlumbing p{build_dual_tree(src, tgt, 30, localities), {}, {}};
-  kernel.setup(p.tree.source.domain().size,
-               std::max(p.tree.source.max_level(),
-                        p.tree.target.max_level()) + 1, 3);
-  p.lists = build_lists(p.tree);
-  DagBuildConfig dcfg;
-  dcfg.method = method;
-  p.dag = build_dag(p.tree, p.lists, kernel, dcfg, localities);
-  return p;
+  EvalConfig cfg;
+  cfg.threshold = 30;
+  cfg.method = method;
+  return build_model(kernel, cfg, src, tgt, localities);
 }
 
 // The DAG's per-edge byte model and the engine's wire format are the same
@@ -183,7 +172,7 @@ EnginePlumbing make_plumbing(Kernel& kernel, int localities, Method method) {
 // exactly DagEdge::bytes, for every operator that can cross localities.
 TEST(ExpansionLcoWireFormat, PerEdgeBytesAgreeWithDagModel) {
   auto kernel = make_kernel("laplace");
-  const EnginePlumbing p = make_plumbing(*kernel, 4, Method::kFmmAdvanced);
+  const PreparedModel p = make_plumbing(*kernel, 4, Method::kFmmAdvanced);
   ThreadExecutor ex(4, 1);
   DagEngine engine(p.dag, p.tree, *kernel, ex, {});
 

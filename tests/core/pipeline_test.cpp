@@ -223,5 +223,103 @@ TEST(EvalPipeline, StructureChangingUpdateRebuildsAndStaysCorrect) {
   EXPECT_EQ(inc.wire_bytes, f.wire_bytes);
 }
 
+void expect_same_stats(const DagStats& got, const DagStats& want) {
+  EXPECT_EQ(got.total_nodes, want.total_nodes);
+  EXPECT_EQ(got.total_edges, want.total_edges);
+  EXPECT_EQ(got.remote_edges, want.remote_edges);
+  for (std::size_t k = 0; k < got.nodes.size(); ++k) {
+    SCOPED_TRACE(to_string(static_cast<NodeKind>(k)));
+    const DagStats::NodeClass& g = got.nodes[k];
+    const DagStats::NodeClass& w = want.nodes[k];
+    EXPECT_EQ(g.count, w.count);
+    EXPECT_EQ(g.min_bytes, w.min_bytes);
+    EXPECT_EQ(g.max_bytes, w.max_bytes);
+    EXPECT_EQ(g.din_min, w.din_min);
+    EXPECT_EQ(g.din_max, w.din_max);
+    EXPECT_EQ(g.dout_min, w.dout_min);
+    EXPECT_EQ(g.dout_max, w.dout_max);
+  }
+  for (std::size_t op = 0; op < got.edges.size(); ++op) {
+    SCOPED_TRACE(to_string(static_cast<Operator>(op)));
+    const DagStats::EdgeClass& g = got.edges[op];
+    const DagStats::EdgeClass& w = want.edges[op];
+    EXPECT_EQ(g.count, w.count);
+    EXPECT_EQ(g.min_bytes, w.min_bytes);
+    EXPECT_EQ(g.max_bytes, w.max_bytes);
+    EXPECT_EQ(g.total_bytes, w.total_bytes);
+  }
+}
+
+/// The DAG statistics an epoch reports are cached with the model and
+/// recomputed after each change of the DAG: build, incremental refresh
+/// and rebuild.
+TEST(EvalPipeline, EpochDagStatsFollowEveryDagChange) {
+  const Problem p = make_problem(3000, 27);
+  const EvalConfig cfg = small_cfg();
+  auto kernel = make_kernel("counting");
+  EvalPipeline pipe(*kernel, cfg, p.sources, p.targets);
+  {
+    SCOPED_TRACE("after the build");
+    expect_same_stats(pipe.evaluate(p.charges).dag, pipe.model().dag.stats());
+  }
+  const std::uint64_t s2t_bytes =
+      pipe.model().dag.stats().edges[static_cast<int>(Operator::kS2T)]
+          .total_bytes;
+
+  // Move one point between two sibling source leaves whose S nodes feed
+  // different numbers of S->T edges: their parents' counts stay put, so
+  // the update is incremental, and the S->T bytes change.
+  const Tree& st = pipe.model().tree.source;
+  const Dag& dag = pipe.model().dag;
+  auto s2t_degree = [&](BoxIndex b) {
+    const DagNode& n = dag.nodes[dag.s_of_box[b]];
+    std::size_t k = 0;
+    for (std::uint32_t e = n.first_edge; e < n.first_edge + n.num_edges; ++e) {
+      k += dag.edges[e].op == Operator::kS2T ? 1 : 0;
+    }
+    return k;
+  };
+  PipelineUpdate u;
+  for (BoxIndex b = 0; b < st.boxes().size() && u.moves.empty(); ++b) {
+    const TreeBox& parent = st.box(b);
+    for (const BoxIndex from : parent.child) {
+      for (const BoxIndex to : parent.child) {
+        if (from == kNoBox || to == kNoBox || from == to) continue;
+        const TreeBox& a = st.box(from);
+        const TreeBox& c = st.box(to);
+        if (!a.is_leaf() || !c.is_leaf() || a.count < 2 ||
+            c.count >= static_cast<std::uint32_t>(cfg.threshold) ||
+            dag.s_of_box[from] == kNoNode || dag.s_of_box[to] == kNoNode ||
+            s2t_degree(from) == s2t_degree(to) || !u.moves.empty()) {
+          continue;
+        }
+        u.moves.push_back(
+            {st.original_index()[a.first], st.sorted_points()[c.first]});
+      }
+    }
+  }
+  ASSERT_EQ(u.moves.size(), 1u);
+  const PipelineUpdateStats up = pipe.update_sources(u);
+  ASSERT_FALSE(up.rebuilt);
+  {
+    SCOPED_TRACE("after an incremental source move");
+    const EvalResult r = pipe.evaluate(p.charges);
+    expect_same_stats(r.dag, pipe.model().dag.stats());
+    EXPECT_NE(r.dag.edges[static_cast<int>(Operator::kS2T)].total_bytes,
+              s2t_bytes);
+  }
+
+  // A point moved outside the domain forces a rebuild.
+  const Cube dom = pipe.model().tree.source.domain();
+  PipelineUpdate far;
+  far.moves.push_back({0, {dom.center().x + dom.size * 4.0, dom.center().y,
+                           dom.center().z}});
+  ASSERT_TRUE(pipe.update_sources(far).rebuilt);
+  {
+    SCOPED_TRACE("after a rebuild");
+    expect_same_stats(pipe.evaluate(p.charges).dag, pipe.model().dag.stats());
+  }
+}
+
 }  // namespace
 }  // namespace amtfmm

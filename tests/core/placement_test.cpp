@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/evaluator.hpp"
 #include "geom/distributions.hpp"
 #include "tree/lists.hpp"
@@ -63,6 +66,70 @@ TEST(Placement, CommMinReducesRemoteTraffic) {
       EXPECT_EQ(node.locality, box.locality);
     }
   }
+}
+
+/// The comm-min tie rule, checked against a tally rebuilt from each It
+/// node's in-edges with every sender counted at its box's owner (the
+/// builder tallies before any It node moves): an It node leaves its owner
+/// only for a locality sending it strictly more bytes than the owner does,
+/// and among tied other localities the lowest index wins.
+TEST(Placement, CommMinMovesItNodesByTheStrictByteRule) {
+  Rng rng(31);
+  const auto src = generate_points(Distribution::kSphere, 20000, rng);
+  const auto tgt = generate_points(Distribution::kSphere, 20000, rng);
+  std::size_t moved = 0, tied = 0;
+  for (const int localities : {2, 3, 4, 8}) {
+    SCOPED_TRACE(testing::Message() << localities << " localities");
+    const DualTree dt = build_dual_tree(src, tgt, 30, localities);
+    auto kernel = make_kernel("counting");
+    kernel->setup(dt.source.domain().size,
+                  std::max(dt.source.max_level(), dt.target.max_level()) + 1,
+                  3);
+    const Dag dag = build_dag(dt, build_lists(dt), *kernel, DagBuildConfig{},
+                              localities);
+    auto owner = [&](const DagNode& n) {
+      const bool source_tree = n.kind == NodeKind::kS ||
+                               n.kind == NodeKind::kM ||
+                               n.kind == NodeKind::kIs;
+      return (source_tree ? dt.source : dt.target).box(n.box).locality;
+    };
+    std::vector<std::vector<std::uint64_t>> tally(dag.nodes.size());
+    for (const DagNode& n : dag.nodes) {
+      for (std::uint32_t e = n.first_edge; e < n.first_edge + n.num_edges;
+           ++e) {
+        const DagEdge& edge = dag.edges[e];
+        if (dag.nodes[edge.target].kind != NodeKind::kIt) continue;
+        auto& t = tally[edge.target];
+        t.resize(static_cast<std::size_t>(localities), 0);
+        t[owner(n)] += edge.bytes;
+      }
+    }
+    for (NodeIndex ni = 0; ni < dag.nodes.size(); ++ni) {
+      const DagNode& n = dag.nodes[ni];
+      if (n.kind != NodeKind::kIt) {
+        // Leaf pinning: every other node stays at its box's owner.
+        EXPECT_EQ(n.locality, owner(n)) << "node " << ni;
+        continue;
+      }
+      const std::vector<std::uint64_t>& t = tally[ni];
+      ASSERT_EQ(t.size(), static_cast<std::size_t>(localities));
+      const std::uint32_t own = owner(n);
+      const std::uint64_t top = *std::max_element(t.begin(), t.end());
+      if (std::count(t.begin(), t.end(), top) > 1) ++tied;
+      if (n.locality == own) {
+        EXPECT_EQ(t[own], top) << "It node " << ni << " kept by its owner";
+        continue;
+      }
+      ++moved;
+      EXPECT_GT(t[n.locality], t[own]) << "It node " << ni;
+      EXPECT_EQ(t[n.locality], top) << "It node " << ni;
+      for (std::uint32_t loc = 0; loc < n.locality; ++loc) {
+        EXPECT_LT(t[loc], top) << "It node " << ni << ": lower tied locality";
+      }
+    }
+  }
+  EXPECT_GT(moved, 0u);
+  EXPECT_GT(tied, 0u) << "the geometry must exercise the tie rule";
 }
 
 /// Barnes-Hut accuracy must improve monotonically as theta shrinks, with

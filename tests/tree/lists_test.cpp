@@ -9,6 +9,23 @@
 namespace amtfmm {
 namespace {
 
+/// Geometric oracle for the adjacency build_lists decides on integer box
+/// positions: true if the two cubes touch or overlap (share at least a
+/// boundary point), i.e. they are NOT well separated.  Boxes of one domain
+/// sit on a shared dyadic grid, so two of them either touch or are at
+/// least one smaller-box width apart, while a face coordinate carries
+/// ulp(|x|) of rounding that can exceed any fixed share of a deep box far
+/// from the origin; a gap under 1e-3 of the smaller cube counts as
+/// touching.
+bool cubes_adjacent(const Cube& a, const Cube& b) {
+  const double eps = 1e-3 * std::min(a.size, b.size);
+  const Vec3 ahi = a.high(), bhi = b.high();
+  const double dx = std::max({a.low.x - bhi.x, b.low.x - ahi.x, 0.0});
+  const double dy = std::max({a.low.y - bhi.y, b.low.y - ahi.y, 0.0});
+  const double dz = std::max({a.low.z - bhi.z, b.low.z - ahi.z, 0.0});
+  return dx <= eps && dy <= eps && dz <= eps;
+}
+
 TEST(CubesAdjacent, BasicGeometry) {
   const Cube a{{0, 0, 0}, 1.0};
   EXPECT_TRUE(cubes_adjacent(a, a));
@@ -20,13 +37,47 @@ TEST(CubesAdjacent, BasicGeometry) {
   EXPECT_FALSE(cubes_adjacent(a, Cube{{1.5, 0, 0}, 0.25}));
 }
 
+/// How a case reshapes both of its ensembles.
+enum class Reshape : std::int32_t {
+  kNone,
+  kFar,         ///< translated by (1e5, 1e5, 1e5): face coordinates round
+  kCoincident,  ///< every source and target at one point
+};
+
 struct ListsCase {
   Distribution src_dist;
   Distribution tgt_dist;
   Vec3 tgt_offset;  // shift making ensembles overlap partially or fully
   int threshold;
+  Reshape reshape;
   std::uint64_t seed;
 };
+// gtest names each case by its parameter bytes.  `reshape` occupies the 4
+// bytes between `threshold` and `seed` that were padding, so the struct has
+// none and stays 48 bytes, and the existing cases keep their names.
+static_assert(sizeof(ListsCase) == 48);
+
+/// The case's two ensembles (4000 sources, 3000 targets).  Coincident
+/// ensembles refine to the tree's level cap, 20.
+DualTree make_case(const ListsCase& c, std::uint64_t seed, int localities) {
+  Rng rng(seed);
+  const Vec3 shift =
+      c.reshape == Reshape::kFar ? Vec3{1e5, 1e5, 1e5} : Vec3{};
+  auto src = generate_points(c.src_dist, 4000, rng, shift);
+  auto tgt = generate_points(c.tgt_dist, 3000, rng, shift + c.tgt_offset);
+  const bool coincident = c.reshape == Reshape::kCoincident;
+  if (coincident) {
+    const Vec3 p = src[0];
+    std::fill(src.begin(), src.end(), p);
+    std::fill(tgt.begin(), tgt.end(), p);
+  }
+  DualTree dt = build_dual_tree(src, tgt, c.threshold, localities);
+  if (coincident) {
+    EXPECT_EQ(dt.source.max_level(), 20);
+    EXPECT_EQ(dt.target.max_level(), 20);
+  }
+  return dt;
+}
 
 class ListsProperty : public ::testing::TestWithParam<ListsCase> {};
 
@@ -36,10 +87,7 @@ class ListsProperty : public ::testing::TestWithParam<ListsCase> {};
 /// accounts for every source point exactly once.
 TEST_P(ListsProperty, EverySourceCoveredExactlyOnce) {
   const ListsCase c = GetParam();
-  Rng rng(c.seed);
-  const auto src = generate_points(c.src_dist, 4000, rng);
-  const auto tgt = generate_points(c.tgt_dist, 3000, rng, c.tgt_offset);
-  const DualTree dt = build_dual_tree(src, tgt, c.threshold, 2);
+  const DualTree dt = make_case(c, c.seed, 2);
   const InteractionLists lists = build_lists(dt);
 
   const auto& tb = dt.target.boxes();
@@ -60,7 +108,7 @@ TEST_P(ListsProperty, EverySourceCoveredExactlyOnce) {
       for (const List2Entry& e : lists.l2[a]) covered += sb[e.src].count;
       if (a == dt.target.root()) break;
     }
-    EXPECT_EQ(covered, src.size()) << "target leaf " << b;
+    EXPECT_EQ(covered, dt.source.num_points()) << "target leaf " << b;
     ++checked;
   }
   EXPECT_GT(checked, 0u);
@@ -68,10 +116,7 @@ TEST_P(ListsProperty, EverySourceCoveredExactlyOnce) {
 
 TEST_P(ListsProperty, GeometricConditionsHold) {
   const ListsCase c = GetParam();
-  Rng rng(c.seed + 100);
-  const auto src = generate_points(c.src_dist, 4000, rng);
-  const auto tgt = generate_points(c.tgt_dist, 3000, rng, c.tgt_offset);
-  const DualTree dt = build_dual_tree(src, tgt, c.threshold, 1);
+  const DualTree dt = make_case(c, c.seed + 100, 1);
   const InteractionLists lists = build_lists(dt);
   const auto& tb = dt.target.boxes();
   const auto& sb = dt.source.boxes();
@@ -123,16 +168,20 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, ListsProperty,
     ::testing::Values(
         // identical-style ensembles (same distribution, overlapping)
-        ListsCase{Distribution::kCube, Distribution::kCube, {0, 0, 0}, 30, 1},
+        ListsCase{Distribution::kCube, Distribution::kCube, {0, 0, 0}, 30, Reshape::kNone, 1},
         // partially overlapping
-        ListsCase{Distribution::kCube, Distribution::kCube, {0.6, 0.2, 0}, 30, 2},
+        ListsCase{Distribution::kCube, Distribution::kCube, {0.6, 0.2, 0}, 30, Reshape::kNone, 2},
         // disjoint ensembles (exercises dual-tree pruning)
-        ListsCase{Distribution::kCube, Distribution::kCube, {2.5, 0, 0}, 30, 3},
+        ListsCase{Distribution::kCube, Distribution::kCube, {2.5, 0, 0}, 30, Reshape::kNone, 3},
         // adaptive sphere data against cube targets
-        ListsCase{Distribution::kSphere, Distribution::kCube, {0, 0, 0}, 60, 4},
-        ListsCase{Distribution::kSphere, Distribution::kSphere, {0, 0, 0}, 60, 5},
+        ListsCase{Distribution::kSphere, Distribution::kCube, {0, 0, 0}, 60, Reshape::kNone, 4},
+        ListsCase{Distribution::kSphere, Distribution::kSphere, {0, 0, 0}, 60, Reshape::kNone, 5},
         // tiny threshold -> deep trees
-        ListsCase{Distribution::kPlummer, Distribution::kCube, {0.1, 0, 0}, 4, 6}));
+        ListsCase{Distribution::kPlummer, Distribution::kCube, {0.1, 0, 0}, 4, Reshape::kNone, 6},
+        // deep trees far from the origin
+        ListsCase{Distribution::kPlummer, Distribution::kPlummer, {0.01, -0.02, 0.005}, 4, Reshape::kFar, 7},
+        // all points in one depth-20 leaf
+        ListsCase{Distribution::kCube, Distribution::kCube, {0, 0, 0}, 30, Reshape::kCoincident, 8}));
 
 TEST(Lists, DisjointFarEnsemblesPruneTargetTree) {
   Rng rng(9);
