@@ -22,7 +22,8 @@
 #include "core/expansion_lco.hpp"
 #include "kernels/kernel.hpp"
 #include "runtime/net/transport.hpp"
-#include "runtime/runtime.hpp"
+#include "runtime/sim_executor.hpp"
+#include "runtime/thread_executor.hpp"
 #include "support/timer.hpp"
 
 namespace {
@@ -60,20 +61,17 @@ void BM_LcoReduction(benchmark::State& state) {
 BENCHMARK(BM_LcoReduction)->Arg(100)->Arg(10000);
 
 void BM_ParcelRoundTrip(benchmark::State& state) {
-  RuntimeConfig cfg;
-  cfg.localities = 2;
-  cfg.cores_per_locality = 1;
-  Runtime rt(cfg);
+  ThreadExecutor ex(2, 1);
   std::atomic<int> hits{0};
-  const std::uint32_t action = rt.register_action(
-      [&hits](Runtime&, const Parcel&) { hits.fetch_add(1); });
   for (auto _ : state) {
-    Parcel p;
-    p.action = action;
-    p.target = GlobalAddress{1, 0};
-    p.payload.resize(880);  // one multipole expansion
-    rt.send_parcel(0, std::move(p));
-    rt.drain();
+    Task t;
+    // One multipole expansion of payload, carried by the task.
+    t.fn = [&hits, payload = std::vector<std::byte>(880)] {
+      benchmark::DoNotOptimize(payload.data());
+      hits.fetch_add(1);
+    };
+    ex.send(0, 1, 880 + 32, std::move(t));
+    ex.drain();
   }
   benchmark::DoNotOptimize(hits.load());
 }
@@ -200,29 +198,23 @@ CoalesceConfig coalesce_arg(std::int64_t on) {
 // parcels shared a wire message.
 void BM_ParcelFanOutReal(benchmark::State& state) {
   constexpr int kParcels = 4096;
-  RuntimeConfig cfg;
-  cfg.localities = 4;
-  cfg.cores_per_locality = 1;
-  cfg.coalesce = coalesce_arg(state.range(0));
-  Runtime rt(cfg);
+  ThreadExecutor ex(4, 1, 1, coalesce_arg(state.range(0)));
   std::atomic<int> hits{0};
-  const std::uint32_t action = rt.register_action(
-      [&hits](Runtime&, const Parcel&) {
-        hits.fetch_add(1, std::memory_order_relaxed);
-      });
   for (auto _ : state) {
     for (int i = 0; i < kParcels; ++i) {
-      Parcel p;
-      p.action = action;
-      p.target = GlobalAddress{static_cast<std::uint32_t>(1 + i % 3), 0};
-      p.payload.resize(64);
-      rt.send_parcel(0, std::move(p));
+      Task t;
+      t.fn = [&hits, payload = std::vector<std::byte>(64)] {
+        benchmark::DoNotOptimize(payload.data());
+        hits.fetch_add(1, std::memory_order_relaxed);
+      };
+      ex.send(0, static_cast<std::uint32_t>(1 + i % 3), 64 + 32,
+              std::move(t));
     }
-    rt.drain();
+    ex.drain();
     benchmark::DoNotOptimize(hits.load());
   }
   state.SetItemsProcessed(state.iterations() * kParcels);
-  const CommStats s = rt.executor().comm_stats();
+  const CommStats s = ex.comm_stats();
   state.counters["coalescing_factor"] = s.coalescing_factor();
 }
 BENCHMARK(BM_ParcelFanOutReal)->Arg(0)->Arg(1);

@@ -11,6 +11,8 @@
 #   4. Debug build of the multi-locality parity / LCO-semantics tests
 #      (assertions and the GAS/ownership debug checks enabled),
 #   5. ThreadSanitizer build of the concurrency-sensitive targets,
+#      including the socket executor: net_executor_test, a 2-rank
+#      loopback (coalescing on and off) and a 2-rank resident serve,
 #   6. AddressSanitizer build (libstdc++ checked containers on) + complete
 #      test suite,
 #   7. UndefinedBehaviorSanitizer build + complete test suite,
@@ -22,8 +24,9 @@
 #      and the socket transport sweep gated by
 #      scripts/check_bench_transport.py,
 #  10. multi-process loopback: amtfmm_launch forks real socket localities
-#      (unix + tcp, 2 and 4 processes) and amtfmm_loopback asserts
-#      multi-process == in-process == sim potentials at 1e-12,
+#      (unix + tcp, 2 and 4 processes, coalescing on and off) and
+#      amtfmm_loopback asserts multi-process == in-process == sim
+#      potentials at 1e-12,
 #  11. resident-serve, telemetry and trace-export smokes, then a 2-second
 #      fmmbench run of every BENCHMARK.json workload, failing on a nonzero
 #      exit, correct: false or failed > 0 (scripts/check_fmmbench.py).
@@ -90,7 +93,8 @@ echo "== ThreadSanitizer build (runtime stress tests) =="
 cmake -B build-tsan -S . -DAMTFMM_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$JOBS" --target \
   ws_deque_test executor_test coalescer_test trace_test gas_test \
-  counters_test net_frame_test net_transport_test
+  counters_test net_frame_test net_transport_test net_executor_test \
+  amtfmm_launch amtfmm_loopback amtfmm_serve
 ./build-tsan/tests/runtime/ws_deque_test
 ./build-tsan/tests/runtime/executor_test
 ./build-tsan/tests/runtime/coalescer_test
@@ -99,6 +103,14 @@ cmake --build build-tsan -j"$JOBS" --target \
 ./build-tsan/tests/runtime/counters_test
 ./build-tsan/tests/runtime/net_frame_test
 ./build-tsan/tests/runtime/net_transport_test
+./build-tsan/tests/runtime/net_executor_test
+for coalesce in true false; do
+  ./build-tsan/tools/amtfmm_launch --np=2 --transport=unix --timeout=300 \
+    -- ./build-tsan/tools/amtfmm_loopback --n=2000 --cores=2 --repeat=3 \
+    --coalesce="$coalesce"
+done
+./build-tsan/tools/amtfmm_launch --np=2 --transport=unix --timeout=300 \
+  -- ./build-tsan/tools/amtfmm_serve --n=2000 --epochs=4 --cores=2
 
 echo "== AddressSanitizer build + full test suite =="
 cmake -B build-asan -S . -DAMTFMM_SANITIZE=address >/dev/null
@@ -148,8 +160,11 @@ python3 scripts/check_bench_transport.py \
 echo "== Multi-process loopback (real socket localities) =="
 for np in 2 4; do
   for transport in unix tcp; do
-    ./build/tools/amtfmm_launch --np="$np" --transport="$transport" \
-      --timeout=120 -- ./build/tools/amtfmm_loopback --n=3000 --cores=2
+    for coalesce in true false; do
+      ./build/tools/amtfmm_launch --np="$np" --transport="$transport" \
+        --timeout=120 -- ./build/tools/amtfmm_loopback --n=3000 --cores=2 \
+        --coalesce="$coalesce"
+    done
   done
 done
 

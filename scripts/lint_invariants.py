@@ -110,10 +110,10 @@ RELAXED_EXEMPT = (
     "src/runtime/ws_deque.hpp",
     "src/runtime/sync_hook.hpp",
     # NetStats mirrors counters.*: independent monotone counts and
-    # high-water marks, read for diagnostics.  The termination-protocol
-    # counters (sent/recvd parcels) are deliberately relaxed too — the
-    # protocol's soundness comes from requiring two consecutive probe
-    # rounds with identical counter cuts, not from memory ordering
+    # high-water marks, read for diagnostics.  The termination protocol's
+    # sent-parcel counter is relaxed too: a cut reads it after the acquire
+    # loads that order it, and the protocol's soundness comes from
+    # requiring two consecutive probe rounds with identical counter cuts
     # (DESIGN.md §5).
     "src/runtime/net/transport.cpp",
     "src/runtime/net/net_executor.cpp",

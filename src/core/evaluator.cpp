@@ -62,8 +62,7 @@ SimResult Evaluator::simulate(std::span<const Vec3> sources,
   out.dag = p.dag.stats();
   out.total_cores = sim.localities * sim.cores_per_locality;
 
-  SimExecutor ex(sim.localities, sim.cores_per_locality,
-                 sim.split_priority ? SchedPolicy::kPriority : sim.policy,
+  SimExecutor ex(sim.localities, sim.cores_per_locality, sim.policy,
                  sim.network, sim.seed, sim.coalesce);
   ex.trace().set_enabled(sim.trace);
   ex.counters().set_enabled(sim.counters);

@@ -4,7 +4,8 @@
 
 #include "core/engine.hpp"
 #include "runtime/counters.hpp"
-#include "runtime/runtime.hpp"
+#include "runtime/sim_executor.hpp"
+#include "runtime/thread_executor.hpp"
 
 namespace amtfmm {
 
@@ -26,7 +27,6 @@ struct EvalConfig {
   Placement placement = Placement::kCommMin;
   int localities = 1;
   int cores_per_locality = 2;
-  SchedPolicy policy = SchedPolicy::kWorkStealing;
   bool split_priority = false;  ///< binary priority for the upward pass
   M2LMode m2l_mode = M2LMode::kRotation;  ///< rotation (O(p^3)) or naive M2L
   CoalesceConfig coalesce{};  ///< per-locality parcel coalescing

@@ -61,9 +61,7 @@ EvalPipeline::EvalPipeline(Kernel& kernel, const EvalConfig& cfg,
       src_pts_(sources.begin(), sources.end()),
       tgt_pts_(targets.begin(), targets.end()) {
   owned_ex_ = std::make_unique<ThreadExecutor>(
-      cfg_.localities, cfg_.cores_per_locality,
-      cfg_.split_priority ? SchedPolicy::kPriority : cfg_.policy, cfg_.seed,
-      cfg_.coalesce);
+      cfg_.localities, cfg_.cores_per_locality, cfg_.seed, cfg_.coalesce);
   ex_ = owned_ex_.get();
   ex_->trace().set_enabled(cfg_.trace);
   ex_->counters().set_enabled(cfg_.counters);

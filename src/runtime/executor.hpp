@@ -86,13 +86,6 @@ struct CommStats {
   }
 };
 
-/// Scheduler policies matched to the paper:
-///  - kWorkStealing: per-worker deques, local randomized stealing (HPX-5's
-///    configuration in the evaluation),
-///  - kFifo: a per-locality FIFO queue (sim executor baseline),
-///  - kPriority: the two-level priority extension proposed in section VI.
-enum class SchedPolicy { kWorkStealing, kFifo, kPriority };
-
 class LocalityRuntime;
 class CounterRegistry;
 

@@ -1,7 +1,7 @@
 #include "runtime/net/net_executor.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <chrono>
 
 #include "runtime/flight_recorder.hpp"
 #include "support/error.hpp"
@@ -10,18 +10,15 @@ namespace amtfmm::net {
 
 NetExecutor::NetExecutor(const NetConfig& cfg, int cores,
                          CoalesceConfig coalesce)
-    : cfg_(cfg),
-      cores_(cores),
-      epoch_(std::chrono::steady_clock::now()),
+    // The coalescer/CommStats see the full world (destinations are global
+    // ranks); workers, trace and counters exist only for the hosted rank.
+    : ThreadExecutor(static_cast<int>(cfg.world), cores, /*seed=*/1,
+                     coalesce, cfg.rank, 1),
+      cfg_(cfg),
       transport_(
           cfg, [this](WireBatch&& b) { on_net_batch(std::move(b)); },
           [this](const ControlMsg& m) { on_net_control(m); },
           [this](const std::string& why) { on_net_failure(why); }) {
-  AMTFMM_ASSERT(cores_ >= 1);
-  // The coalescer/CommStats see the full world (destinations are global
-  // ranks); trace and counters see only the local workers.
-  rt_ = std::make_unique<LocalityRuntime>(static_cast<int>(cfg_.world),
-                                          cores_, coalesce);
   auto& reg = rt_->counters();
   nid_.msgs_sent = reg.counter("net.msgs_sent");
   nid_.msgs_recvd = reg.counter("net.msgs_recvd");
@@ -39,65 +36,32 @@ NetExecutor::NetExecutor(const NetConfig& cfg, int cores,
   nid_.inject_depth_hwm = reg.gauge("net.inject_depth_hwm");
   nid_.inject_bytes_hwm = reg.gauge("net.inject_bytes_hwm");
 
-  inorder_.reserve(cfg_.world);
-  for (std::uint32_t r = 0; r < cfg_.world; ++r) {
-    inorder_.push_back(std::make_unique<InOrder>());
-  }
   acks_.resize(cfg_.world);
   prev_acks_.resize(cfg_.world);
 
-  transport_.start();  // mesh up before any worker can send
+  transport_.start();  // mesh up before any task can send
   // Clock sync rides the fresh mesh before any batch traffic competes
   // for it: the quietest moment this process will ever see, which is
   // exactly when the min-RTT midpoint estimate is tightest.
   clock_sync_ = transport_.clock_sync();
-  threads_.reserve(static_cast<std::size_t>(cores_));
-  for (int w = 0; w < cores_; ++w) {
-    threads_.emplace_back([this, w] { worker_loop(w); });
-  }
 }
 
 NetExecutor::~NetExecutor() {
   // Transport first: once the progress thread is gone, no callback can
-  // race the pool teardown.  No drain — destruction must always succeed,
-  // even on a failed mesh.
+  // race the teardown.  No drain — destruction must always succeed, even
+  // on a failed mesh: the workers finish the tasks they are running, and
+  // queued tasks never run.
   transport_.stop();
-  {
-    SyncLockGuard lk(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (auto& t : threads_) t.join();
-  for (std::uint32_t r = 0; r < cfg_.world; ++r) {
-    InOrder& io = *inorder_[r];
-    if (!io.ready.empty()) {
-      std::fprintf(stderr,
-                   "rank %u: %zu stranded batch(es) from rank %u at shutdown "
-                   "(expected seq %llu, first held seq %llu)\n",
-                   cfg_.rank, io.ready.size(), r,
-                   static_cast<unsigned long long>(io.expected),
-                   static_cast<unsigned long long>(io.ready.begin()->first));
-    }
-  }
+  stop_workers();
+  join_workers();
 }
 
 void NetExecutor::set_on_telemetry(NetTransport::TelemetryFn fn) {
   transport_.set_on_telemetry(std::move(fn));
 }
 
-int NetExecutor::current_locality() const {
-  return current_worker() >= 0 ? static_cast<int>(cfg_.rank) : -1;
-}
-
-double NetExecutor::now() const {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       epoch_)
-      .count();
-}
-
 TraceClock NetExecutor::trace_clock() const {
-  TraceClock c = make_trace_clock(
-      std::chrono::duration<double>(epoch_.time_since_epoch()).count());
+  TraceClock c = ThreadExecutor::trace_clock();
   c.offset_s = clock_sync_.offset_s;
   c.uncertainty_s = clock_sync_.uncertainty_s;
   return c;
@@ -136,39 +100,12 @@ Executor::NetHandler NetExecutor::wait_handler(std::uint8_t kind) {
   return handlers_[kind];  // copy: the call runs outside the lock
 }
 
-void NetExecutor::spawn(Task t) {
-  AMTFMM_ASSERT(locality_is_local(t.locality));
-  {
-    SyncLockGuard lk(mu_);
-    ++outstanding_;
-    (t.high_priority ? high_ : low_).push_back(std::move(t));
-  }
-  work_cv_.notify_one();
-  state_cv_.notify_all();  // drain predicates watch outstanding_
-}
-
-void NetExecutor::send(std::uint32_t from, std::uint32_t to,
-                       std::size_t bytes, Task t) {
-  AMTFMM_ASSERT(from == cfg_.rank && to < cfg_.world);
-  t.locality = to;
-  if (to == cfg_.rank) {
-    spawn(std::move(t));
-    return;
-  }
-  AMTFMM_ASSERT(t.net_kind != 0 &&
-                "remote task without a wire representation");
-  AMTFMM_ASSERT(t.net_payload && t.net_payload->size() == bytes);
-  auto out = rt_->submit(from, to, bytes, std::move(t), now());
-  if (!out.batch) return;  // buffered; deadline/quiescence flush later
-  transmit(std::move(*out.batch), out.coalesced);
-}
-
 void NetExecutor::transmit(ParcelBatch b, bool coalesced) {
+  AMTFMM_ASSERT(b.src == cfg_.rank && b.dst < cfg_.world);
   const double tn = now();
   rt_->account_batch(b, tn, tn, coalesced);
-  const int w = current_worker();
-  if (w >= 0 && rt_->trace().enabled()) {
-    rt_->trace().record_instant(static_cast<std::uint32_t>(w),
+  if (rt_->trace().enabled()) {
+    rt_->trace().record_instant(LocalityRuntime::trace_worker(),
                                 InstantKind::kParcelSend, tn, b.dst);
   }
   WireBatch wb;
@@ -179,17 +116,25 @@ void NetExecutor::transmit(ParcelBatch b, bool coalesced) {
   wb.any_high = b.any_high;
   wb.coalesced = coalesced;
   wb.parcels.reserve(b.tasks.size());
+  std::size_t payload_bytes = 0;
   for (const Task& t : b.tasks) {
-    AMTFMM_ASSERT(t.net_kind != 0 && t.net_payload);
+    AMTFMM_ASSERT(t.net_kind != 0 && t.net_payload &&
+                  "remote task without a wire representation");
     WireParcel p;
     p.kind = t.net_kind;
     p.high = t.high_priority;
     p.payload = *t.net_payload;
+    payload_bytes += p.payload.size();
     wb.parcels.push_back(std::move(p));
   }
+  // The payloads are the parcels' logical wire bytes, so wire_bytes ==
+  // bytes_sent stays exact over sockets.
+  AMTFMM_ASSERT(payload_bytes == b.bytes);
   const auto n = static_cast<std::int64_t>(b.tasks.size());
   // Ordering contract with the termination protocol: sent is visible
   // before any peer can observe (and count) the arriving frame.
+  // relaxed-ok: quiet_counts() reads it after an acquire of the task or
+  // buffered count that this batch's sender or flusher releases later.
   sent_parcels_.fetch_add(static_cast<std::uint64_t>(n),
                           std::memory_order_relaxed);
   // A false return means the transport failed or stopped and dropped the
@@ -198,124 +143,71 @@ void NetExecutor::transmit(ParcelBatch b, bool coalesced) {
   if (coalesced) rt_->note_batch_consumed(n);
 }
 
-void NetExecutor::on_net_batch(WireBatch&& b) {
-  AMTFMM_ASSERT(b.dst == cfg_.rank && b.src < cfg_.world);
-  const auto n = static_cast<std::uint64_t>(b.parcels.size());
-  Task t;
-  t.locality = cfg_.rank;
-  t.high_priority = b.any_high;
-  auto sb = std::make_shared<WireBatch>(std::move(b));
-  if (sb->coalesced) {
-    t.fn = [this, sb] { run_in_order(std::move(*sb)); };
+void NetExecutor::on_net_batch(WireBatch&& wb) {
+  AMTFMM_ASSERT(wb.dst == cfg_.rank && wb.src < cfg_.world);
+  const auto n = static_cast<std::uint64_t>(wb.parcels.size());
+  ParcelBatch b;
+  b.src = wb.src;
+  b.dst = wb.dst;
+  b.seq = wb.seq;
+  b.any_high = wb.any_high;
+  b.tasks.reserve(wb.parcels.size());
+  for (WireParcel& p : wb.parcels) {
+    Task t;
+    t.locality = cfg_.rank;
+    t.high_priority = p.high;
+    t.fn = [this, kind = p.kind, payload = std::move(p.payload)] {
+      wait_handler(kind)(payload);
+    };
+    b.tasks.push_back(std::move(t));
+  }
+  Task w;
+  if (wb.coalesced) {
+    w = batch_task(std::move(b));
   } else {
-    t.fn = [this, sb] { run_wire_batch(*sb); };
+    // A one-parcel message with no sequence to keep: run it directly.
+    w.locality = cfg_.rank;
+    w.high_priority = b.any_high;
+    w.fn = [this, batch = std::make_shared<ParcelBatch>(std::move(b))] {
+      if (rt_->trace().enabled()) {
+        rt_->trace().record_instant(LocalityRuntime::trace_worker(),
+                                    InstantKind::kParcelRecv, now(),
+                                    batch->src);
+      }
+      for (Task& t : batch->tasks) t.fn();
+    };
   }
   {
-    SyncLockGuard lk(mu_);
     // Once the transport has failed this evaluation is being abandoned:
     // the engine behind the handlers dies during the caller's unwinding,
-    // so batches must be dropped, not spawned.  The check shares mu_ with
-    // throw_if_failed()'s queue purge, so no task can slip in after it.
+    // so batches are dropped, not spawned.
+    SyncLockGuard lk(mu_);
     if (net_failed_) return;
-    ++outstanding_;
-    (t.high_priority ? high_ : low_).push_back(std::move(t));
   }
-  work_cv_.notify_one();
-  state_cv_.notify_all();
+  spawn(std::move(w));
+  {
+    // Notify under mu_: a follower_wait() or coordinate_round() that saw
+    // no work under mu_ is already waiting when this notify lands.
+    SyncLockGuard lk(mu_);
+    state_cv_.notify_all();
+  }
   // Count the receipt only after the work is visible to quiescence
-  // detection (outstanding_ > 0): a recvd count with no outstanding work
-  // would let the termination protocol declare a balanced cut while the
-  // wrapper task is still queued.
-  recvd_parcels_.fetch_add(n, std::memory_order_relaxed);
+  // detection: a recvd count with no outstanding work would let the
+  // termination protocol declare a balanced cut while the wrapper task is
+  // still queued.
+  recvd_parcels_.fetch_add(n, std::memory_order_release);
 }
 
-void NetExecutor::run_wire_batch(const WireBatch& b) {
-  const int w = current_worker();
-  if (w >= 0 && rt_->trace().enabled()) {
-    rt_->trace().record_instant(static_cast<std::uint32_t>(w),
-                                InstantKind::kParcelRecv, now(), b.src);
-  }
-  for (const WireParcel& p : b.parcels) {
-    NetHandler h = wait_handler(p.kind);
-    h(p.payload);
-  }
-}
-
-void NetExecutor::run_in_order(WireBatch b) {
-  InOrder& io = *inorder_[b.src];
-  {
-    SyncLockGuard lk(io.mu);
-    io.ready.emplace(b.seq, std::move(b));
-    if (io.running || io.ready.begin()->first != io.expected) return;
-    io.running = true;
-  }
-  for (;;) {
-    WireBatch cur;
-    {
-      SyncLockGuard lk(io.mu);
-      auto it = io.ready.find(io.expected);
-      if (it == io.ready.end()) {
-        io.running = false;
-        return;
-      }
-      cur = std::move(it->second);
-      io.ready.erase(it);
-      ++io.expected;
-    }
-    run_wire_batch(cur);
-  }
-}
-
-bool NetExecutor::flush_expired() {
-  if (!rt_->coalesce_config().enabled || !rt_->pending_from(cfg_.rank)) {
-    return false;
-  }
-  // The flush must be visible to quiescence detection for its whole
-  // take-to-transmit span: it runs outside any task, and between popping
-  // a batch (buffered drops to zero) and transmit() raising sent_, every
-  // counter the termination protocol reads looks frozen.  Without this
-  // guard a stalled flusher lets the world terminate with the frame
-  // still in hand — which then arrives in the next drain epoch as a
-  // stale parcel.  Counting the span as outstanding work closes the gap.
-  {
-    SyncLockGuard lk(mu_);
-    ++outstanding_;
-  }
-  auto batches = rt_->take_expired_from(cfg_.rank, now());
-  for (auto& b : batches) transmit(std::move(b), /*coalesced=*/true);
-  {
-    SyncLockGuard lk(mu_);
-    if (--outstanding_ == 0) state_cv_.notify_all();
-  }
-  return !batches.empty();
-}
-
-void NetExecutor::worker_loop(int w) {
-  detail::set_current_worker(w);
-  SyncUniqueLock lk(mu_);
-  while (!stop_) {
-    if (!high_.empty() || !low_.empty()) {
-      auto& q = high_.empty() ? low_ : high_;
-      Task t = std::move(q.front());
-      q.pop_front();
-      lk.unlock();
-      if (t.fn) t.fn();
-      rt_->counters().add(w, rt_->ids().tasks_run);
-      lk.lock();
-      --outstanding_;
-      if (outstanding_ == 0) state_cv_.notify_all();
-      continue;
-    }
-    // Idle: act as the locality's communication agent (deadline flushes),
-    // then nap briefly — the transport's progress thread owns the wire,
-    // so the nap bounds only flush latency, not message latency.
-    lk.unlock();
-    const bool flushed = flush_expired();
-    lk.lock();
-    if (flushed) continue;
-    work_cv_.wait_for(lk, std::chrono::microseconds(200));
-  }
-  detail::set_current_worker(-1);
+std::optional<std::pair<std::uint64_t, std::uint64_t>>
+NetExecutor::quiet_counts() const {
+  // Receipts first: a batch counted in `recvd` made its task visible
+  // before the count, so idle() afterwards proves that task has finished.
+  // Sends last: every task and flush done by then has raised sent_.
+  const std::uint64_t recvd = recvd_parcels_.load(std::memory_order_acquire);
+  if (!idle()) return std::nullopt;
+  // relaxed-ok: ordered after idle()'s seq_cst loads, see transmit().
+  const std::uint64_t sent = sent_parcels_.load(std::memory_order_relaxed);
+  return std::pair{sent, recvd};
 }
 
 void NetExecutor::on_net_control(const ControlMsg& m) {
@@ -348,8 +240,12 @@ void NetExecutor::on_net_failure(const std::string& why) {
     net_failed_ = true;
     if (net_failure_.empty()) net_failure_ = why;
   }
+  // The caller abandons the evaluation: the engine whose handlers the
+  // queued tasks would invoke is destroyed during unwinding.  Stop the
+  // workers now, so no queued task runs; drain() waits out the running
+  // ones before it throws.
+  stop_workers();
   state_cv_.notify_all();
-  work_cv_.notify_all();
   // Failure-path teardown is one of the flight recorder's dump triggers:
   // the surviving ranks each capture their last events, so a peer death
   // leaves a cross-rank post-mortem artifact, not just an error line.
@@ -359,21 +255,11 @@ void NetExecutor::on_net_failure(const std::string& why) {
 void NetExecutor::throw_if_failed() {
   std::string why;
   {
-    SyncUniqueLock lk(mu_);
+    SyncLockGuard lk(mu_);
     if (!net_failed_) return;
     why = net_failure_;
-    // The caller abandons the evaluation: the engine whose handlers the
-    // queued wrapper tasks would invoke is destroyed during unwinding.
-    // Quiesce local delivery before throwing — drop everything queued and
-    // wait out the tasks already running — so no worker touches the dying
-    // engine afterwards.  on_net_batch drops new arrivals under the same
-    // lock once net_failed_ is set, so the queues stay empty.
-    outstanding_ -= high_.size() + low_.size();
-    high_.clear();
-    low_.clear();
-    // Explicit predicate loop (no wait(pred) overload; see sync_hook.hpp).
-    while (outstanding_ != 0) state_cv_.wait(lk);
   }
+  join_workers();  // no worker touches the dying engine after the throw
   throw net_error("rank " + std::to_string(cfg_.rank) +
                   ": transport failed: " + why);
 }
@@ -389,8 +275,8 @@ bool NetExecutor::coordinate_round() {
     // termination path below reading drains_done_ with no lock held.
     epoch = drains_done_ + 1;
   }
-  const std::uint64_t s0 = sent_parcels_.load(std::memory_order_relaxed);
-  const std::uint64_t r0 = recvd_parcels_.load(std::memory_order_relaxed);
+  const auto before = quiet_counts();
+  if (!before) return false;  // new work; abandon the round
   ControlMsg probe;
   probe.type = static_cast<std::uint8_t>(ControlType::kProbe);
   probe.rank = cfg_.rank;
@@ -401,7 +287,7 @@ bool NetExecutor::coordinate_round() {
     // Explicit predicate loop (no wait(pred) overload; see sync_hook.hpp):
     // wake on failure, new local work, or a full set of round-matching acks.
     for (;;) {
-      bool done = net_failed_ || outstanding_ > 0;
+      bool done = net_failed_ || !idle();
       if (!done) {
         done = true;
         for (std::uint32_t r = 1; r < cfg_.world; ++r) {
@@ -414,15 +300,14 @@ bool NetExecutor::coordinate_round() {
       if (done) break;
       state_cv_.wait(lk);
     }
-    if (net_failed_) return false;       // drain() throws
-    if (outstanding_ > 0) return false;  // new work; abandon the round
+    if (net_failed_) return false;  // drain() throws
   }
-  const std::uint64_t s1 = sent_parcels_.load(std::memory_order_relaxed);
-  const std::uint64_t r1 = recvd_parcels_.load(std::memory_order_relaxed);
-  const Ack self{round, s1, r1};
-  bool stable = s1 == s0 && r1 == r0;
-  std::uint64_t sum_sent = s1;
-  std::uint64_t sum_recvd = r1;
+  const auto after = quiet_counts();
+  if (!after) return false;  // new work; abandon the round
+  const Ack self{round, after->first, after->second};
+  bool stable = *after == *before;
+  std::uint64_t sum_sent = self.sent;
+  std::uint64_t sum_recvd = self.recvd;
   {
     SyncLockGuard lk(mu_);
     for (std::uint32_t r = 1; r < cfg_.world; ++r) {
@@ -460,18 +345,18 @@ bool NetExecutor::follower_wait() {
   for (;;) {
     if (net_failed_) return false;  // drain() throws
     if (terminate_epoch_ >= drains_done_ + 1) return true;
-    if (outstanding_ > 0) return false;  // new work arrived
-    if (probe_pending_ && rt_->buffered() == 0) {
+    // No task queued or running and nothing buffered: the counter pair is
+    // a consistent local snapshot (see quiet_counts()).
+    const auto counts = quiet_counts();
+    if (!counts) return false;  // new work arrived
+    if (probe_pending_) {
       probe_pending_ = false;
       ControlMsg ack;
       ack.type = static_cast<std::uint8_t>(ControlType::kAck);
       ack.rank = cfg_.rank;
       ack.a = probe_round_;
-      // Quiescent under mu_: no task and no idle-worker flush can be
-      // mid-transmit (both hold outstanding_ > 0 for their span), so the
-      // counter pair is a consistent local snapshot.
-      ack.b = sent_parcels_.load(std::memory_order_relaxed);
-      ack.c = recvd_parcels_.load(std::memory_order_relaxed);
+      ack.b = counts->first;
+      ack.c = counts->second;
       ++term_rounds_stat_;
       lk.unlock();
       transport_.post_control(0, ack);
@@ -485,31 +370,14 @@ bool NetExecutor::follower_wait() {
 double NetExecutor::drain() {
   const double t0 = now();
   for (;;) {
-    {
-      SyncUniqueLock lk(mu_);
-      // Explicit predicate loop (no wait(pred) overload; see sync_hook.hpp).
-      while (outstanding_ != 0 && !net_failed_) state_cv_.wait(lk);
-    }
+    // Local quiescence first: everything still buffered for remote ranks
+    // goes on the wire.  Transmits may block on backpressure but never
+    // spawn local work; received batches can, hence the re-loop.
+    const bool quiet = settle();
     throw_if_failed();
-    // Local quiescence flush: everything still buffered for remote ranks
-    // goes on the wire now.  Transmits may block on backpressure but
-    // never spawn local work; received batches can, hence the re-loop.
-    bool flushed = false;
-    for (auto& b : rt_->take_all_from(cfg_.rank)) {
-      transmit(std::move(b), /*coalesced=*/true);
-      flushed = true;
-    }
-    {
-      SyncLockGuard lk(mu_);
-      if (flushed || outstanding_ != 0 || rt_->buffered() != 0) continue;
-    }
+    if (!quiet) continue;
     if (cfg_.world == 1) break;
-    if (cfg_.rank == 0) {
-      if (coordinate_round()) break;
-    } else {
-      if (follower_wait()) break;
-    }
-    throw_if_failed();
+    if (cfg_.rank == 0 ? coordinate_round() : follower_wait()) break;
   }
   throw_if_failed();
   {

@@ -2,20 +2,15 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <memory>
 #include <optional>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
-#include "runtime/executor.hpp"
-#include "runtime/locality_runtime.hpp"
 #include "runtime/net/transport.hpp"
 #include "runtime/sync_hook.hpp"
+#include "runtime/thread_executor.hpp"
 
 namespace amtfmm::net {
 
@@ -27,46 +22,36 @@ namespace amtfmm::net {
 /// work crosses processes exclusively as serialized parcels — Task::
 /// net_kind + net_payload on the way out, a registered NetHandler on the
 /// way in.  PR 4's no-pointer-crosses-a-locality guarantee is what makes
-/// this a drop-in third substrate: the engine's parcels were already
-/// fully serialized bytes.
+/// this a drop-in substrate: the engine's parcels were already fully
+/// serialized bytes.
 ///
-/// Scheduling: a plain mutex/condvar worker pool over high/low FIFO
-/// queues.  The in-process executors carry the work-stealing machinery;
-/// here the interesting contention is the wire, so the pool stays simple
-/// and idle workers double as the coalescer's deadline-flush agents.
+/// Scheduling: a ThreadExecutor hosting the one locality `rank`, so a
+/// socket rank's tasks run on the same work-stealing deques, inboxes,
+/// park/wake and idle-worker coalescer flushes as in-process localities.
+/// Batches for the other ranks reach transmit(), which puts them on the
+/// socket; arriving batches become tasks that call the registered handlers,
+/// coalesced ones through ThreadExecutor's per-pair re-sequencer.
 ///
 /// Termination: drain() runs a coordinator/follower protocol over
 /// control messages (rank 0 coordinates).  A rank is locally quiescent
-/// when its pool is idle and its coalescing buffers are empty; the world
-/// terminates when a probe round finds every rank quiescent with
+/// when no task is queued or running and its coalescing buffers are empty;
+/// the world terminates when a probe round finds every rank quiescent with
 /// globally matching sent==received parcel counts that are *identical to
 /// the previous round* (two agreeing rounds make the counter snapshot a
 /// consistent cut despite message latency).  drain() is re-armable:
 /// post-evaluation gathers can send more parcels and drain again.
-class NetExecutor final : public Executor {
+class NetExecutor final : public ThreadExecutor {
  public:
   /// `cfg` describes this rank; `cores` is the local worker count.
   NetExecutor(const NetConfig& cfg, int cores, CoalesceConfig coalesce);
   ~NetExecutor() override;
 
-  int num_localities() const override {
-    return static_cast<int>(cfg_.world);
-  }
-  int cores_per_locality() const override { return cores_; }
-  int current_locality() const override;
-  bool locality_is_local(std::uint32_t loc) const override {
-    return loc == cfg_.rank;
-  }
   void register_net_handler(std::uint8_t kind, NetHandler h) override;
   void unregister_net_handler(std::uint8_t kind) override;
-  void spawn(Task t) override;
-  void send(std::uint32_t from, std::uint32_t to, std::size_t bytes,
-            Task t) override;
   /// Runs to global quiescence (all ranks, termination protocol) and
   /// returns the wall-clock makespan.  Throws net_error if a peer died
   /// or the byte stream broke — never hangs on a dead mesh.
   double drain() override;
-  double now() const override;
   TraceClock trace_clock() const override;
 
   std::uint32_t rank() const { return cfg_.rank; }
@@ -88,13 +73,15 @@ class NetExecutor final : public Executor {
   /// thread; must be cheap and non-blocking).  Callable any time.
   void set_on_telemetry(NetTransport::TelemetryFn fn);
 
+ protected:
+  /// Serializes and posts one batch to its destination rank.  Counter
+  /// ordering is load-bearing for termination: sent_parcels_ rises
+  /// BEFORE the frame can possibly be received anywhere, and a coalesced
+  /// batch leaves the runtime's buffered() count only after the post, so
+  /// it stays visible to quiescence detection from take to transmit.
+  void transmit(ParcelBatch b, bool coalesced) override;
+
  private:
-  struct InOrder {
-    SyncMutex mu;
-    std::uint64_t expected GUARDED_BY(mu) = 0;
-    bool running GUARDED_BY(mu) = false;
-    std::map<std::uint64_t, WireBatch> ready GUARDED_BY(mu);
-  };
   struct Ack {
     std::uint64_t round = 0;
     std::uint64_t sent = 0;
@@ -108,59 +95,39 @@ class NetExecutor final : public Executor {
     CounterRegistry::Id inject_depth_hwm, inject_bytes_hwm;  // gauges
   };
 
-  void worker_loop(int w);
-  /// Serializes and posts one batch to its destination rank.  Counter
-  /// ordering is load-bearing for termination: sent_parcels_ rises
-  /// BEFORE the frame can possibly be received anywhere.
-  void transmit(ParcelBatch b, bool coalesced);
   /// Progress-thread callbacks.
   void on_net_batch(WireBatch&& b);
   void on_net_control(const ControlMsg& m);
   void on_net_failure(const std::string& why);
-  /// Worker-side execution of an arrived batch.
-  void run_wire_batch(const WireBatch& b);
-  void run_in_order(WireBatch b);
   NetHandler wait_handler(std::uint8_t kind);
-  /// Idle-worker deadline flush; true if anything went out.
-  bool flush_expired();
   /// One coordinator probe round; true when the world terminated.
   bool coordinate_round();
   /// Follower wait: answer probes while quiescent; true on terminate,
   /// false when new local work arrived.
   bool follower_wait();
+  /// Quiescent counter cut for a probe round: {sent, recvd}, or nullopt
+  /// when a task is queued or running or a parcel is buffered.
+  std::optional<std::pair<std::uint64_t, std::uint64_t>> quiet_counts() const;
   void throw_if_failed();
   /// Folds transport stats into the net.* registry counters (deltas, so
   /// repeated drains never double-count).
   void fold_net_counters();
 
   NetConfig cfg_;
-  int cores_;
-  std::chrono::steady_clock::time_point epoch_;
   NetTransport transport_;
   ClockSyncResult clock_sync_;  ///< measured once in the constructor
-
-  // Worker pool (mu_ guards the queues and all termination state).
-  mutable SyncMutex mu_;
-  SyncCondVar work_cv_;   ///< workers: new task / stop
-  SyncCondVar state_cv_;  ///< drain: quiescence + control
-  std::deque<Task> high_ GUARDED_BY(mu_);
-  std::deque<Task> low_ GUARDED_BY(mu_);
-  /// Queued + running local tasks.
-  std::int64_t outstanding_ GUARDED_BY(mu_) = 0;
-  bool stop_ GUARDED_BY(mu_) = false;
-  std::vector<std::thread> threads_;
-
-  // Destination re-sequencing, one slot per source rank.
-  std::vector<std::unique_ptr<InOrder>> inorder_;
 
   SyncMutex handlers_mu_;
   SyncCondVar handlers_cv_;
   std::array<NetHandler, 256> handlers_ GUARDED_BY(handlers_mu_);
 
-  // Termination protocol state (under mu_; the annotations make the old
-  // "guarded by mu_ unless noted" comment a compiler-checked contract).
-  // relaxed-ok (both): monotone counters; every decision read happens
-  // under mu_ with the two-round protocol supplying consistency.
+  // Termination protocol state.  mu_ guards only this; the scheduler's
+  // own state lives in ThreadExecutor.  state_cv_ wakes drain() on control
+  // messages, failure, and arriving work.
+  mutable SyncMutex mu_;
+  SyncCondVar state_cv_;
+  // relaxed-ok (both): monotone counters; every decision read is ordered
+  // by quiet_counts() and the two-round protocol supplies consistency.
   std::atomic<std::uint64_t> sent_parcels_{0};
   std::atomic<std::uint64_t> recvd_parcels_{0};
   /// Coordinator, per rank.

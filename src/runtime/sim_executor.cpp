@@ -32,8 +32,7 @@ void SimExecutor::spawn(Task t) {
   AMTFMM_ASSERT(t.locality < static_cast<std::uint32_t>(num_localities_));
   const std::uint32_t loc = t.locality;
   auto& ls = locs_[loc];
-  const bool hi = policy_ == SchedPolicy::kPriority && t.high_priority;
-  (hi ? ls.high : ls.low).push_back(std::move(t));
+  (t.high_priority ? ls.high : ls.low).push_back(std::move(t));
   try_dispatch(loc);
 }
 

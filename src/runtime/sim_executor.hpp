@@ -24,6 +24,13 @@ struct NetworkModel {
   double task_overhead = 0.25e-6;   // scheduler cost to start a task
 };
 
+/// Pool order of a simulated locality:
+///  - kWorkStealing: the aggregate behaviour of per-core deques plus local
+///    randomized stealing (HPX-5's configuration in the evaluation),
+///  - kFifo: oldest-first (baseline).
+/// Task::high_priority work runs first under either order.
+enum class SchedPolicy { kWorkStealing, kFifo };
+
 /// Discrete-event simulation of the runtime: L localities x C cores on a
 /// virtual clock.  This executes the *actual* DAG — every LCO trigger and
 /// every continuation really runs (with its structural side effects); only
@@ -32,11 +39,12 @@ struct NetworkModel {
 /// times (see core/cost_model.hpp).  This is the substitution for the
 /// paper's 4096-core Big Red II runs — see DESIGN.md.
 ///
-/// Scheduling per locality:
-///  - kWorkStealing: a shared pool drained in LIFO order with randomized
-///    tie-breaking (the aggregate behaviour of per-core deques + stealing),
-///  - kFifo: oldest-first,
-///  - kPriority: two-level queue, high first (the section VI proposal).
+/// Scheduling per locality: a two-level pool, Task::high_priority first
+/// (the section VI proposal; the engine marks tasks high only under
+/// split_priority), each level drained in SchedPolicy order —
+///  - kWorkStealing: uniformly random order (the aggregate behaviour of
+///    per-core deques + random stealing),
+///  - kFifo: oldest-first.
 ///
 /// Parcel coalescing (CoalesceConfig.enabled): remote sends buffer per
 /// (src, dst) pair; a batch transmits on threshold, on a flush-deadline

@@ -39,18 +39,22 @@ ScopedTrace::~ScopedTrace() {
 }
 
 ThreadExecutor::ThreadExecutor(int num_localities, int cores_per_locality,
-                               SchedPolicy policy, std::uint64_t seed,
-                               CoalesceConfig coalesce)
+                               std::uint64_t seed, CoalesceConfig coalesce,
+                               std::uint32_t first, int hosted)
     : num_localities_(num_localities),
       cores_(cores_per_locality),
-      policy_(policy),
+      first_(first),
+      hosted_(hosted),
+      nworkers_(hosted * cores_per_locality),
       inorder_(static_cast<std::size_t>(num_localities) *
                static_cast<std::size_t>(num_localities)),
       epoch_(std::chrono::steady_clock::now()) {
-  AMTFMM_ASSERT(num_localities >= 1 && cores_per_locality >= 1);
-  rt_ = std::make_unique<LocalityRuntime>(num_localities, total_workers(),
+  AMTFMM_ASSERT(cores_per_locality >= 1 && hosted >= 1 &&
+                first + static_cast<std::uint32_t>(hosted) <=
+                    static_cast<std::uint32_t>(num_localities));
+  rt_ = std::make_unique<LocalityRuntime>(num_localities, nworkers_,
                                           coalesce);
-  const int n = total_workers();
+  const int n = nworkers_;
   workers_.reserve(static_cast<std::size_t>(n));
   std::uint64_t sm = seed;
   for (int w = 0; w < n; ++w) {
@@ -65,16 +69,12 @@ ThreadExecutor::ThreadExecutor(int num_localities, int cores_per_locality,
 }
 
 ThreadExecutor::~ThreadExecutor() {
-  drain();
-  {
-    SyncLockGuard lk(idle_mu_);
-    stop_.store(true, std::memory_order_seq_cst);
-    // relaxed-ok: the epoch bump is published by the idle_mu_ unlock below.
-    wake_epoch_.fetch_add(1, std::memory_order_relaxed);
-  }
-  idle_cv_.notify_all();
-  for (auto& t : threads_) t.join();
-  // drain() guarantees no live tasks, but free anything a misuse left behind.
+  // A derived executor that stopped the workers already (a socket rank on
+  // a dead mesh) must not drain again: its queued tasks never run.
+  if (!stop_.load(std::memory_order_acquire)) drain();
+  stop_workers();
+  join_workers();
+  // drain() guarantees no live tasks; free what stopped workers left queued.
   for (auto& ws : workers_) {
     // relaxed-ok: all workers joined above; this thread is the only one left.
     TaskNode* n = ws->inbox.exchange(nullptr, std::memory_order_relaxed);
@@ -90,9 +90,28 @@ ThreadExecutor::~ThreadExecutor() {
   }
 }
 
+void ThreadExecutor::stop_workers() {
+  {
+    SyncLockGuard lk(idle_mu_);
+    stop_.store(true, std::memory_order_seq_cst);
+    // relaxed-ok: the epoch bump is published by the idle_mu_ unlock below.
+    wake_epoch_.fetch_add(1, std::memory_order_relaxed);
+  }
+  idle_cv_.notify_all();
+  drain_cv_.notify_all();
+}
+
+void ThreadExecutor::join_workers() {
+  for (auto& t : threads_) {
+    if (t.joinable()) t.join();
+  }
+}
+
 int ThreadExecutor::current_locality() const {
   const int w = current_worker();
-  return (w >= 0 && w < total_workers()) ? w / cores_ : -1;
+  return (w >= 0 && w < nworkers_)
+             ? static_cast<int>(first_) + w / cores_
+             : -1;
 }
 
 double ThreadExecutor::now() const {
@@ -108,7 +127,7 @@ TraceClock ThreadExecutor::trace_clock() const {
 
 void ThreadExecutor::push_local(int w, TaskNode* n) {
   auto& ws = *workers_[static_cast<std::size_t>(w)];
-  const bool hi = policy_ == SchedPolicy::kPriority && n->task.high_priority;
+  const bool hi = n->task.high_priority;
   auto& dq = hi ? ws.high : ws.low;
   if (!dq.push(n)) {
     (hi ? ws.overflow_high : ws.overflow_low).push_back(n);
@@ -120,14 +139,14 @@ void ThreadExecutor::push_local(int w, TaskNode* n) {
 }
 
 void ThreadExecutor::spawn(Task t) {
-  AMTFMM_ASSERT(t.locality < static_cast<std::uint32_t>(num_localities_));
+  AMTFMM_ASSERT(locality_is_local(t.locality));
   // relaxed-ok: the count only needs atomicity; drain()'s completion check
   // re-reads it under idle_mu_ after the last finish.
   outstanding_.fetch_add(1, std::memory_order_relaxed);
   auto* n = new TaskNode{std::move(t), nullptr};
-  const int loc = static_cast<int>(n->task.locality);
+  const int loc = static_cast<int>(n->task.locality - first_);
   const int w = current_worker();
-  if (w >= 0 && w < total_workers() && w / cores_ == loc) {
+  if (w >= 0 && w < nworkers_ && w / cores_ == loc) {
     // Stay on the spawning worker's deque (cheap, steals rebalance).
     push_local(w, n);
   } else {
@@ -162,6 +181,10 @@ void ThreadExecutor::send(std::uint32_t from, std::uint32_t to,
     // workers of the source locality and by drain().
     return;
   }
+  if (!locality_is_local(to)) {
+    transmit(std::move(*out.batch), out.coalesced);
+    return;
+  }
   if (out.coalesced) {
     deliver(std::move(*out.batch));
     return;
@@ -186,6 +209,26 @@ void ThreadExecutor::deliver(ParcelBatch b) {
     rt_->trace().record_instant(LocalityRuntime::trace_worker(),
                                 InstantKind::kParcelSend, tn, b.dst);
   }
+  // Spawn before dropping the buffered count: quiescence detection must
+  // never observe the parcels in neither counter (see the LocalityRuntime
+  // buffered invariant).
+  spawn(batch_task(std::move(b)));
+  rt_->note_batch_consumed(n);
+}
+
+void ThreadExecutor::route(ParcelBatch b) {
+  if (locality_is_local(b.dst)) {
+    deliver(std::move(b));
+  } else {
+    transmit(std::move(b), /*coalesced=*/true);
+  }
+}
+
+void ThreadExecutor::transmit(ParcelBatch /*b*/, bool /*coalesced*/) {
+  AMTFMM_ASSERT_MSG(false, "batch for a locality this executor does not host");
+}
+
+Task ThreadExecutor::batch_task(ParcelBatch b) {
   Task w;
   w.locality = b.dst;
   w.high_priority = b.any_high;
@@ -193,11 +236,7 @@ void ThreadExecutor::deliver(ParcelBatch b) {
   w.fn = [this, batch = std::make_shared<ParcelBatch>(std::move(b))]() {
     run_batch_in_order(std::move(*batch));
   };
-  // Spawn before dropping the buffered count: quiescence detection must
-  // never observe the parcels in neither counter (see the LocalityRuntime
-  // buffered invariant).
-  spawn(std::move(w));
-  rt_->note_batch_consumed(n);
+  return w;
 }
 
 void ThreadExecutor::run_batch_in_order(ParcelBatch b) {
@@ -237,22 +276,22 @@ void ThreadExecutor::run_batch_in_order(ParcelBatch b) {
 }
 
 bool ThreadExecutor::flush_expired(int w) {
-  const auto loc = static_cast<std::uint32_t>(w / cores_);
+  const auto loc = first_ + static_cast<std::uint32_t>(w / cores_);
   if (!rt_->coalesce_config().enabled || !rt_->pending_from(loc)) {
     return false;
   }
   auto batches = rt_->take_expired_from(loc, now());
-  for (auto& b : batches) deliver(std::move(b));
+  for (auto& b : batches) route(std::move(b));
   return !batches.empty();
 }
 
 bool ThreadExecutor::flush_outbound(int w) {
-  const auto loc = static_cast<std::uint32_t>(w / cores_);
+  const auto loc = first_ + static_cast<std::uint32_t>(w / cores_);
   if (!rt_->coalesce_config().enabled || !rt_->pending_from(loc)) {
     return false;
   }
   auto batches = rt_->take_all_from(loc);
-  for (auto& b : batches) deliver(std::move(b));
+  for (auto& b : batches) route(std::move(b));
   return !batches.empty();
 }
 
@@ -429,27 +468,29 @@ void ThreadExecutor::worker_loop(int w) {
 
 double ThreadExecutor::drain() {
   const double t0 = now();
-  for (;;) {
-    // Wait for running tasks first, flush second: a flush while senders
-    // are still running would split their buffers mid-fill.  Delivering a
-    // batch re-raises outstanding_, hence the loop.
-    {
-      SyncUniqueLock lk(idle_mu_);
-      // Explicit predicate loop (no wait(pred) overload; see sync_hook.hpp).
-      while (outstanding_.load(std::memory_order_acquire) != 0) {
-        drain_cv_.wait(lk);
-      }
-    }
-    bool flushed = false;
-    for (auto& b : rt_->take_all()) {
-      deliver(std::move(b));
-      flushed = true;
-    }
-    if (!flushed && rt_->buffered() == 0 &&
-        outstanding_.load(std::memory_order_acquire) == 0) {
-      return now() - t0;
+  while (!settle()) {
+  }
+  return now() - t0;
+}
+
+bool ThreadExecutor::settle() {
+  // Wait for running tasks first, flush second: a flush while senders are
+  // still running would split their buffers mid-fill.  Delivering a batch
+  // re-raises outstanding_, hence the caller's loop.
+  {
+    SyncUniqueLock lk(idle_mu_);
+    // Explicit predicate loop (no wait(pred) overload; see sync_hook.hpp).
+    while (outstanding_.load(std::memory_order_acquire) != 0 &&
+           !stop_.load(std::memory_order_acquire)) {
+      drain_cv_.wait(lk);
     }
   }
+  bool flushed = false;
+  for (auto& b : rt_->take_all()) {
+    route(std::move(b));
+    flushed = true;
+  }
+  return !flushed && idle();
 }
 
 }  // namespace amtfmm

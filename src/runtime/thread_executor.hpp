@@ -29,8 +29,9 @@ namespace amtfmm {
 ///    sleepers seq_cst, then re-check work) with an epoch counter bumped
 ///    under the idle mutex so wakeups cannot be lost.
 ///
-/// Under kPriority, each worker keeps a second deque that is always drained
-/// first — the binary priority extension the paper proposes in section VI.
+/// Each worker keeps a second deque for Task::high_priority work that is
+/// always drained first — the binary priority extension the paper proposes
+/// in section VI (the engine marks tasks high only under split_priority).
 ///
 /// Parcel coalescing (CoalesceConfig.enabled): remote sends buffer per
 /// (src, dst) locality pair and flush as one batch task on threshold; idle
@@ -39,11 +40,17 @@ namespace amtfmm {
 /// remainder, so no parcel is ever stranded.  Batches of one pair are
 /// re-sequenced at the destination, so per-(src,dst) parcel delivery stays
 /// FIFO even when batch tasks land on different workers.
-class ThreadExecutor final : public Executor {
+///
+/// A derived executor may host only some localities of a larger world (a
+/// socket rank hosts exactly its own, see net::NetExecutor): the same
+/// workers, deques and flushes serve the hosted localities, and every batch
+/// bound for another locality goes to the transmit() hook instead.
+class ThreadExecutor : public Executor {
  public:
   ThreadExecutor(int num_localities, int cores_per_locality,
-                 SchedPolicy policy = SchedPolicy::kWorkStealing,
-                 std::uint64_t seed = 1, CoalesceConfig coalesce = {});
+                 std::uint64_t seed = 1, CoalesceConfig coalesce = {})
+      : ThreadExecutor(num_localities, cores_per_locality, seed, coalesce, 0,
+                       num_localities) {}
   ~ThreadExecutor() override;
 
   ThreadExecutor(const ThreadExecutor&) = delete;
@@ -52,13 +59,57 @@ class ThreadExecutor final : public Executor {
   int num_localities() const override { return num_localities_; }
   int cores_per_locality() const override { return cores_; }
   int current_locality() const override;
+  bool locality_is_local(std::uint32_t loc) const override {
+    return loc - first_ < static_cast<std::uint32_t>(hosted_);
+  }
 
   void spawn(Task t) override;
   void send(std::uint32_t from, std::uint32_t to, std::size_t bytes,
             Task t) override;
   double drain() override;
-  double now() const override;
+  double now() const final;
   TraceClock trace_clock() const override;
+
+ protected:
+  /// Hosts localities [first, first + hosted) of a world of
+  /// `num_localities`: only their workers exist here, and batches bound for
+  /// any other locality go to transmit().
+  ThreadExecutor(int num_localities, int cores_per_locality,
+                 std::uint64_t seed, CoalesceConfig coalesce,
+                 std::uint32_t first, int hosted);
+
+  /// Puts a batch bound for a locality this executor does not host on the
+  /// wire (`coalesced` is false for the one-parcel message of an
+  /// uncoalesced send).  A coalesced batch's parcels stay counted in the
+  /// runtime's buffered() until the override calls note_batch_consumed().
+  /// Called from tasks, idle workers and drain(); an executor that hosts
+  /// every locality never calls it.
+  virtual void transmit(ParcelBatch b, bool coalesced);
+
+  /// The task that runs coalesced batch `b` at its (hosted) destination,
+  /// re-sequenced with the other batches of its (src, dst) pair.
+  Task batch_task(ParcelBatch b);
+
+  /// One local-quiescence step of drain(): waits until no task is queued
+  /// or running (or the workers stopped), flushes every coalescing buffer,
+  /// and returns true when nothing was flushed and idle() holds.
+  bool settle();
+
+  /// No parcel buffered and no task queued or running.  Buffered first: a
+  /// batch leaves buffered() only after its task is spawned (or its frame
+  /// posted), so the task count read second cannot miss it.
+  bool idle() const {
+    return rt_->buffered() == 0 &&
+           outstanding_.load(std::memory_order_seq_cst) == 0;
+  }
+
+  /// Stops the workers for good: each finishes the task it is running and
+  /// exits, queued tasks never run (the destructor frees them), and
+  /// settle() stops waiting.  Callable from any thread, workers included.
+  void stop_workers();
+  /// Returns once every stopped worker has exited; never call it from a
+  /// worker.
+  void join_workers();
 
  private:
   struct TaskNode {
@@ -97,6 +148,8 @@ class ThreadExecutor final : public Executor {
 
   /// Wraps a flushed batch into one task at the destination and spawns it.
   void deliver(ParcelBatch b);
+  /// A flushed coalesced batch: delivered here or handed to transmit().
+  void route(ParcelBatch b);
   /// Runs at the destination: re-sequences and executes batches in order.
   void run_batch_in_order(ParcelBatch b);
   /// Deadline flush of the worker's locality; returns true if any flushed.
@@ -106,7 +159,9 @@ class ThreadExecutor final : public Executor {
 
   int num_localities_;
   int cores_;
-  SchedPolicy policy_;
+  std::uint32_t first_;  ///< first hosted locality
+  int hosted_;           ///< hosted locality count
+  int nworkers_;         ///< hosted_ * cores_
   std::vector<std::unique_ptr<WorkerState>> workers_;
   std::vector<std::thread> threads_;
 

@@ -370,12 +370,18 @@ struct CountCase {
   Method method;
   Distribution src_dist;
   Distribution tgt_dist;
+  std::uint32_t zero0;  ///< always 0, see below
   Vec3 offset;
   int threshold;
   int localities;
   int cores;
   bool priority;
+  std::uint8_t zero1[3] = {};
 };
+// gtest names each case by its parameter bytes.  The zero fields fill what
+// was padding, whose bytes differed from one test discovery to the next;
+// with every byte defined the names are stable and keep their old values.
+static_assert(sizeof(CountCase) == 56);
 
 class CountingEndToEnd : public ::testing::TestWithParam<CountCase> {};
 
@@ -405,15 +411,15 @@ TEST_P(CountingEndToEnd, EveryTargetCountsEverySource) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, CountingEndToEnd,
     ::testing::Values(
-        CountCase{Method::kFmmAdvanced, Distribution::kCube, Distribution::kCube, {0, 0, 0}, 60, 1, 2, false},
-        CountCase{Method::kFmmAdvanced, Distribution::kCube, Distribution::kCube, {0, 0, 0}, 9, 4, 2, false},
-        CountCase{Method::kFmmAdvanced, Distribution::kSphere, Distribution::kSphere, {0, 0, 0}, 35, 2, 2, true},
-        CountCase{Method::kFmmAdvanced, Distribution::kSphere, Distribution::kCube, {0.7, 0.3, 0}, 25, 3, 1, false},
-        CountCase{Method::kFmmAdvanced, Distribution::kCube, Distribution::kCube, {3.0, 0, 0}, 30, 2, 2, false},
-        CountCase{Method::kFmmAdvanced, Distribution::kPlummer, Distribution::kPlummer, {0, 0, 0}, 12, 2, 2, false},
-        CountCase{Method::kFmmBasic, Distribution::kCube, Distribution::kCube, {0, 0, 0}, 30, 2, 2, false},
-        CountCase{Method::kFmmBasic, Distribution::kSphere, Distribution::kSphere, {0, 0, 0}, 45, 1, 3, false},
-        CountCase{Method::kBarnesHut, Distribution::kCube, Distribution::kCube, {0, 0, 0}, 30, 2, 2, false}));
+        CountCase{Method::kFmmAdvanced, Distribution::kCube, Distribution::kCube, 0, {0, 0, 0}, 60, 1, 2, false},
+        CountCase{Method::kFmmAdvanced, Distribution::kCube, Distribution::kCube, 0, {0, 0, 0}, 9, 4, 2, false},
+        CountCase{Method::kFmmAdvanced, Distribution::kSphere, Distribution::kSphere, 0, {0, 0, 0}, 35, 2, 2, true},
+        CountCase{Method::kFmmAdvanced, Distribution::kSphere, Distribution::kCube, 0, {0.7, 0.3, 0}, 25, 3, 1, false},
+        CountCase{Method::kFmmAdvanced, Distribution::kCube, Distribution::kCube, 0, {3.0, 0, 0}, 30, 2, 2, false},
+        CountCase{Method::kFmmAdvanced, Distribution::kPlummer, Distribution::kPlummer, 0, {0, 0, 0}, 12, 2, 2, false},
+        CountCase{Method::kFmmBasic, Distribution::kCube, Distribution::kCube, 0, {0, 0, 0}, 30, 2, 2, false},
+        CountCase{Method::kFmmBasic, Distribution::kSphere, Distribution::kSphere, 0, {0, 0, 0}, 45, 1, 3, false},
+        CountCase{Method::kBarnesHut, Distribution::kCube, Distribution::kCube, 0, {0, 0, 0}, 30, 2, 2, false}));
 
 /// M and Is nodes index the source tree's points, so with ten times more
 /// sources than targets their boxes reach far past the end of the target

@@ -35,7 +35,7 @@ void run_on_worker(ThreadExecutor& ex, Fn body) {
 }
 
 TEST(Coalescing, FlushOnParcelThreshold) {
-  ThreadExecutor ex(2, 1, SchedPolicy::kWorkStealing, 1, coalesce_on(4));
+  ThreadExecutor ex(2, 1, 1, coalesce_on(4));
   std::atomic<int> ran{0};
   run_on_worker(ex, [&ex, &ran] {
     for (int i = 0; i < 8; ++i) {
@@ -58,7 +58,7 @@ TEST(Coalescing, FlushOnParcelThreshold) {
 }
 
 TEST(Coalescing, FlushOnByteThreshold) {
-  ThreadExecutor ex(2, 1, SchedPolicy::kWorkStealing, 1,
+  ThreadExecutor ex(2, 1, 1,
                     coalesce_on(1000, /*max_bytes=*/1000));
   std::atomic<int> ran{0};
   run_on_worker(ex, [&ex, &ran] {
@@ -78,7 +78,7 @@ TEST(Coalescing, FlushOnByteThreshold) {
 TEST(Coalescing, FlushOnQuiescenceStrandsNothing) {
   // Thresholds far above what is sent: only the idle/quiescence paths can
   // deliver, and drain() must not return before they do.
-  ThreadExecutor ex(2, 1, SchedPolicy::kWorkStealing, 1, coalesce_on(1000));
+  ThreadExecutor ex(2, 1, 1, coalesce_on(1000));
   std::atomic<int> ran{0};
   run_on_worker(ex, [&ex, &ran] {
     for (int i = 0; i < 5; ++i) {
@@ -95,7 +95,7 @@ TEST(Coalescing, FlushOnQuiescenceStrandsNothing) {
 }
 
 TEST(Coalescing, RepeatedDrainsReuseBuffers) {
-  ThreadExecutor ex(2, 1, SchedPolicy::kWorkStealing, 1, coalesce_on(1000));
+  ThreadExecutor ex(2, 1, 1, coalesce_on(1000));
   std::atomic<int> ran{0};
   for (int round = 0; round < 3; ++round) {
     run_on_worker(ex, [&ex, &ran] {
@@ -114,7 +114,7 @@ TEST(Coalescing, DeliversWithoutDrainWhileWorkersBusy) {
   // A worker-side send must reach the destination via the idle-path
   // flushes (deadline or pre-park quiescence) even though drain() has not
   // been called: locality 0's second worker is idle and flushes for it.
-  ThreadExecutor ex(2, 2, SchedPolicy::kWorkStealing, 1,
+  ThreadExecutor ex(2, 2, 1,
                     coalesce_on(1000, 1 << 20, /*deadline=*/0.0));
   std::atomic<bool> delivered{false};
   Task sender;
@@ -142,7 +142,7 @@ TEST(Coalescing, PreservesPerPairFifoUnderConcurrentSenders) {
   // sender's own subsequence must arrive in order.
   constexpr int kSenders = 4;
   constexpr int kPerSender = 200;
-  ThreadExecutor ex(2, 4, SchedPolicy::kWorkStealing, 1, coalesce_on(3));
+  ThreadExecutor ex(2, 4, 1, coalesce_on(3));
   std::mutex mu;
   std::vector<std::vector<int>> seen(kSenders);
   for (int sndr = 0; sndr < kSenders; ++sndr) {

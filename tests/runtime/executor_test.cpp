@@ -52,9 +52,46 @@ TEST(ThreadExecutor, TasksRunOnTheirLocality) {
     };
     ex.spawn(std::move(t));
   }
+  // Sent tasks run at their destination, never at the sender.
+  for (int i = 0; i < 300; ++i) {
+    const int to = (i + 1) % 3;
+    Task t;
+    t.fn = [&misplaced, &ex, to, cores] {
+      if (current_worker() / cores != to || ex.current_locality() != to) {
+        misplaced.fetch_add(1);
+      }
+    };
+    ex.send(static_cast<std::uint32_t>(i % 3), static_cast<std::uint32_t>(to),
+            64, std::move(t));
+  }
   ex.drain();
   EXPECT_EQ(misplaced.load(), 0)
       << "work stealing must stay within a locality";
+  EXPECT_EQ(ex.parcels_sent(), 300u);
+}
+
+TEST(ThreadExecutor, HighPriorityTasksRunFirst) {
+  ThreadExecutor ex(1, 1);
+  std::vector<int> order;
+  // Children of one task land on its worker's deques; the high-priority
+  // deque drains first, although the deques pop newest-first and the high
+  // task is the oldest child.
+  Task seed;
+  seed.fn = [&ex, &order] {
+    Task hi;
+    hi.high_priority = true;
+    hi.fn = [&order] { order.push_back(99); };
+    ex.spawn(std::move(hi));
+    for (int i = 0; i < 3; ++i) {
+      Task lo;
+      lo.fn = [&order, i] { order.push_back(i); };
+      ex.spawn(std::move(lo));
+    }
+  };
+  ex.spawn(std::move(seed));
+  ex.drain();
+  ASSERT_EQ(order.size(), 4u);
+  EXPECT_EQ(order.front(), 99) << "high priority task must run first";
 }
 
 TEST(ThreadExecutor, SendAccountsOnlyRemoteTraffic) {
@@ -160,7 +197,7 @@ TEST(SimExecutor, NicSerializesSuccessiveSends) {
 }
 
 TEST(SimExecutor, PriorityPolicyRunsHighFirst) {
-  SimExecutor ex(1, 1, SchedPolicy::kPriority, NetworkModel{0, 1e18, 0});
+  SimExecutor ex(1, 1, SchedPolicy::kWorkStealing, NetworkModel{0, 1e18, 0});
   std::vector<int> order;
   // Seed a task that enqueues mixed-priority children while "running".
   Task seed;

@@ -5,7 +5,8 @@
 #include <thread>
 
 #include "runtime/gas.hpp"
-#include "runtime/runtime.hpp"
+#include "runtime/sim_executor.hpp"
+#include "runtime/thread_executor.hpp"
 
 namespace amtfmm {
 namespace {
@@ -191,6 +192,9 @@ TEST(Lco, FutureRoundTrip) {
   t.fn = [&f] { f.set(3.25); };
   ex.spawn(std::move(t));
   EXPECT_DOUBLE_EQ(f.get(), 3.25);  // blocks until set
+  // get() returns once fire() notifies, but fire() still touches the LCO
+  // after that; let the setting task finish before `f` is destroyed.
+  ex.drain();
 }
 
 TEST(Gas, AllocateAndResolvePerLocality) {
@@ -211,60 +215,36 @@ TEST(Gas, AllocateAndResolvePerLocality) {
   EXPECT_DOUBLE_EQ(static_cast<SumLCO*>(gas.resolve(a))->value(), 7.0);
 }
 
-TEST(RuntimeFacade, ParcelsInvokeActionsAtTheTarget) {
-  RuntimeConfig cfg;
-  cfg.localities = 2;
-  cfg.cores_per_locality = 2;
-  Runtime rt(cfg);
-  // An LCO on locality 1 and an action that feeds it from parcel payload.
-  const GlobalAddress addr =
-      rt.gas().alloc(1, std::make_unique<SumLCO>(rt.executor(), 3));
-  std::atomic<int> wrong_locality{0};
-  const std::uint32_t action =
-      rt.register_action([&wrong_locality](Runtime& r, const Parcel& p) {
-        if (current_worker() / r.config().cores_per_locality !=
-            static_cast<int>(p.target.locality)) {
+TEST(Lco, SentParcelsFeedAnLcoAtTheirTarget) {
+  // The same three parcels on both executors: each runs on the locality
+  // that owns the LCO, carries its value in the task, and counts as one
+  // remote parcel.
+  ThreadExecutor threads(2, 2);
+  SimExecutor sim(2, 1);
+  for (Executor* ex : {static_cast<Executor*>(&threads),
+                       static_cast<Executor*>(&sim)}) {
+    Gas gas(2);
+    const GlobalAddress addr =
+        gas.alloc(1, std::make_unique<SumLCO>(*ex, 3));
+    std::atomic<int> wrong_locality{0};
+    for (int i = 1; i <= 3; ++i) {
+      Task t;
+      t.items = {{kClsNetwork, 1e-6}};  // virtual cost on the simulator
+      t.fn = [ex, &gas, addr, &wrong_locality, v = static_cast<double>(i)] {
+        if (ex->current_locality() != static_cast<int>(addr.locality)) {
           wrong_locality.fetch_add(1);
         }
-        double v;
-        std::memcpy(&v, p.payload.data(), sizeof v);
-        static_cast<SumLCO*>(r.gas().resolve(p.target))->add(v);
-      });
-  for (int i = 1; i <= 3; ++i) {
-    Parcel p;
-    p.action = action;
-    p.target = addr;
-    const double v = i;
-    p.payload.resize(sizeof v);
-    std::memcpy(p.payload.data(), &v, sizeof v);
-    rt.send_parcel(/*from=*/0, std::move(p));
+        static_cast<SumLCO*>(gas.resolve(addr))->add(v);
+      };
+      ex->send(/*from=*/0, addr.locality, sizeof(double) + 32, std::move(t));
+    }
+    ex->drain();
+    EXPECT_EQ(wrong_locality.load(), 0);
+    EXPECT_TRUE(gas.resolve(addr)->triggered());
+    EXPECT_DOUBLE_EQ(static_cast<SumLCO*>(gas.resolve(addr))->value(), 6.0);
+    EXPECT_EQ(ex->parcels_sent(), 3u);
   }
-  rt.drain();
-  EXPECT_EQ(wrong_locality.load(), 0);
-  EXPECT_DOUBLE_EQ(static_cast<SumLCO*>(rt.gas().resolve(addr))->value(), 6.0);
-  EXPECT_EQ(rt.executor().parcels_sent(), 3u);
-}
-
-TEST(RuntimeFacade, SimModeParcelsWork) {
-  RuntimeConfig cfg;
-  cfg.localities = 2;
-  cfg.cores_per_locality = 1;
-  cfg.mode = ExecMode::kSim;
-  Runtime rt(cfg);
-  const GlobalAddress addr =
-      rt.gas().alloc(1, std::make_unique<SumLCO>(rt.executor(), 2));
-  const std::uint32_t action = rt.register_action([](Runtime& r, const Parcel& p) {
-    static_cast<SumLCO*>(r.gas().resolve(p.target))->add(1.0);
-  });
-  for (int i = 0; i < 2; ++i) {
-    Parcel p;
-    p.action = action;
-    p.target = addr;
-    rt.send_parcel(0, std::move(p), {{kClsNetwork, 1e-6}});
-  }
-  rt.drain();
-  EXPECT_TRUE(rt.gas().resolve(addr)->triggered());
-  EXPECT_GT(rt.executor().now(), 0.0);
+  EXPECT_GT(sim.now(), 0.0) << "simulated parcels take virtual time";
 }
 
 }  // namespace

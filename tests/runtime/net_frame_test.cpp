@@ -12,7 +12,9 @@ namespace {
 
 std::vector<std::byte> bytes_of(const std::string& s) {
   std::vector<std::byte> v(s.size());
-  std::memcpy(v.data(), s.data(), s.size());
+  // An empty vector's data() may be null, and memcpy from/to null is UB
+  // even for zero bytes.
+  if (!s.empty()) std::memcpy(v.data(), s.data(), s.size());
   return v;
 }
 
