@@ -35,8 +35,8 @@ int main(int argc, char** argv) {
       sim.localities = cores / 32;
       sim.cores_per_locality = 32;
       sim.cost = CostModel::paper("laplace");
-      const SimResult r = eval.simulate(e.sources, e.targets, sim);
-      t[i] = r.virtual_time;
+      const EvalResult r = eval.simulate(e.sources, e.targets, sim);
+      t[i] = r.makespan;
       gb[i] = static_cast<double>(r.bytes_sent) / 1e9;
       ++i;
     }

@@ -39,13 +39,12 @@ int main(int argc, char** argv) {
       for (auto& u : sim.cost.per_unit) u *= grain;
 
       sim.localities = 1;
-      const SimResult base = eval.simulate(e.sources, e.targets, sim);
+      const EvalResult base = eval.simulate(e.sources, e.targets, sim);
       sim.localities = cores / 32;
-      const SimResult r = eval.simulate(e.sources, e.targets, sim);
-      const double eff =
-          base.virtual_time / r.virtual_time / (cores / 32.0);
+      const EvalResult r = eval.simulate(e.sources, e.targets, sim);
+      const double eff = base.makespan / r.makespan / (cores / 32.0);
       std::printf("%10d %7.0fx | %12.4f %12.4f %11.1f%% | %12zu\n", threshold,
-                  grain, base.virtual_time, r.virtual_time, 100.0 * eff,
+                  grain, base.makespan, r.makespan, 100.0 * eff,
                   r.dag.total_nodes);
     }
   }

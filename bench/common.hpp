@@ -44,7 +44,10 @@ inline std::string byte_range(std::uint64_t lo, std::uint64_t hi) {
   return std::to_string(lo) + "-" + std::to_string(hi);
 }
 
-/// One row of a micro-benchmark `--json` summary.
+/// One row of a hand-timed measurement outside google-benchmark: the
+/// `micro_runtime --transport-json` and `micro_operators --kernels-json`
+/// outputs gated by scripts/check_bench_transport.py and
+/// scripts/check_bench_kernels.py.
 struct BenchEntry {
   std::string name;
   double ns_per_op = 0.0;
@@ -52,8 +55,8 @@ struct BenchEntry {
 };
 
 /// Writes entries as a JSON array of flat {name, ns_per_op, counters...}
-/// objects — the single writer behind every bench `--json` output, so the
-/// schema (escaping, number formatting) is identical everywhere.
+/// objects — the single writer behind both outputs, so the schema
+/// (escaping, number formatting) is identical.
 inline bool write_bench_json(const std::string& path,
                              const std::vector<BenchEntry>& entries) {
   JsonWriter w;
@@ -86,28 +89,9 @@ inline void add_trace_out_flag(Cli& cli) {
                "write a Chrome/Perfetto trace of the run to FILE");
 }
 
-/// Exports a run as a Chrome trace when `--trace-out` was given.  Returns
-/// false only when the flag was set and the export failed.
-inline bool export_trace_if_requested(const Cli& cli, const SimResult& r,
-                                      int cores_per_locality) {
-  const std::string path = cli.str("trace-out");
-  if (path.empty()) return true;
-  ChromeTraceOptions opt;
-  opt.cores_per_locality = cores_per_locality;
-  opt.makespan = r.virtual_time;
-  opt.sim = true;
-  opt.dag_edges = r.dag_edges;
-  opt.counters = r.counters.empty() ? nullptr : &r.counters;
-  const bool ok =
-      trace_export_chrome(path, r.trace, r.comm_trace, r.instants, opt);
-  std::printf(ok ? "\ntrace written to %s (open in ui.perfetto.dev or run "
-                   "tools/trace_report)\n"
-                 : "\nERROR: could not write trace to %s\n",
-              path.c_str());
-  return ok;
-}
-
-/// Wall-clock-run overload (EvalResult from the threaded executor).
+/// Exports a simulated run (Evaluator::simulate) as a Chrome trace when
+/// `--trace-out` was given.  Returns false only when the flag was set and
+/// the export failed.
 inline bool export_trace_if_requested(const Cli& cli, const EvalResult& r,
                                       int cores_per_locality) {
   const std::string path = cli.str("trace-out");
@@ -115,7 +99,7 @@ inline bool export_trace_if_requested(const Cli& cli, const EvalResult& r,
   ChromeTraceOptions opt;
   opt.cores_per_locality = cores_per_locality;
   opt.makespan = r.makespan;
-  opt.sim = false;
+  opt.sim = true;
   opt.dag_edges = r.dag_edges;
   opt.counters = r.counters.empty() ? nullptr : &r.counters;
   const bool ok =

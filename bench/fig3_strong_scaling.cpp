@@ -69,12 +69,12 @@ int main(int argc, char** argv) {
     double t32 = -1.0;
     for (int cores = 32; cores <= max_cores; cores *= 2) {
       sim.localities = cores / 32;
-      const SimResult r = eval.simulate(e.sources, e.targets, sim);
-      if (t32 < 0) t32 = r.virtual_time;
-      const double speedup = t32 / r.virtual_time;
+      const EvalResult r = eval.simulate(e.sources, e.targets, sim);
+      if (t32 < 0) t32 = r.makespan;
+      const double speedup = t32 / r.makespan;
       const double eff = speedup / (cores / 32.0);
       std::printf("  %8d %12.4f %10.2f %11.1f%% %12.3f\n", cores,
-                  r.virtual_time, speedup, 100.0 * eff,
+                  r.makespan, speedup, 100.0 * eff,
                   static_cast<double>(r.bytes_sent) / 1e9);
     }
   }

@@ -26,26 +26,27 @@ int main(int argc, char** argv) {
 
   EvalConfig cfg;
   cfg.threshold = static_cast<int>(cli.i64("threshold"));
-  Evaluator eval(make_kernel("laplace"), cfg);
+  EvalConfig traced = cfg;
+  traced.coalesce.enabled = true;  // HPX-5 coalesces parcels per locality
+  traced.trace = true;
+  traced.counters = true;
+  Evaluator eval(make_kernel("laplace"), traced);
 
   const int core_counts[] = {64, 128, 512};
   std::vector<UtilizationProfile> profiles;
   std::vector<double> times;
   std::vector<CommStats> comms;
   std::vector<CounterSnapshot> snaps;
-  SimResult largest;  // 512-core run kept for the --trace-out export
+  EvalResult largest;  // 512-core run kept for the --trace-out export
   for (const int cores : core_counts) {
     SimConfig sim;
     sim.localities = cores / 32;
     sim.cores_per_locality = 32;
     sim.cost = CostModel::paper("laplace");
-    sim.coalesce.enabled = true;  // HPX-5 coalesces parcels per locality
-    sim.trace = true;
-    sim.counters = true;
-    SimResult r = eval.simulate(e.sources, e.targets, sim);
-    profiles.push_back(utilization(r.trace, 0.0, r.virtual_time, intervals,
-                                   r.total_cores));
-    times.push_back(r.virtual_time);
+    EvalResult r = eval.simulate(e.sources, e.targets, sim);
+    profiles.push_back(utilization(r.trace, 0.0, r.makespan, intervals,
+                                   cores));
+    times.push_back(r.makespan);
     comms.push_back(r.comm);
     snaps.push_back(r.counters);
     if (cores == core_counts[2]) largest = std::move(r);
@@ -109,14 +110,15 @@ int main(int argc, char** argv) {
   // One coalescing-off run at the largest configuration: the network-time
   // cost of sending every parcel as its own message.
   {
+    Evaluator plain(make_kernel("laplace"), cfg);
     SimConfig sim;
     sim.localities = core_counts[2] / 32;
     sim.cores_per_locality = 32;
     sim.cost = CostModel::paper("laplace");
-    const SimResult r = eval.simulate(e.sources, e.targets, sim);
+    const EvalResult r = plain.simulate(e.sources, e.targets, sim);
     std::printf("\n512 cores without coalescing: %.3f s (vs %.3f s; "
                 "%llu wire messages vs %llu)\n",
-                r.virtual_time, times[2],
+                r.makespan, times[2],
                 static_cast<unsigned long long>(r.comm.batches),
                 static_cast<unsigned long long>(comms[2].batches));
   }

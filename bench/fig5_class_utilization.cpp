@@ -27,21 +27,22 @@ int main(int argc, char** argv) {
 
   EvalConfig cfg;
   cfg.threshold = static_cast<int>(cli.i64("threshold"));
+  cfg.trace = true;
+  cfg.counters = true;
   Evaluator eval(make_kernel("laplace"), cfg);
   SimConfig sim;
   sim.localities = static_cast<int>(cli.i64("cores")) / 32;
   sim.cores_per_locality = 32;
   sim.cost = CostModel::paper("laplace");
-  sim.trace = true;
-  sim.counters = true;
-  const SimResult r = eval.simulate(e.sources, e.targets, sim);
+  const EvalResult r = eval.simulate(e.sources, e.targets, sim);
   const UtilizationProfile p =
-      utilization(r.trace, 0.0, r.virtual_time, intervals, r.total_cores);
+      utilization(r.trace, 0.0, r.makespan, intervals,
+                  sim.localities * sim.cores_per_locality);
 
   print_header("Figure 5: utilization fraction by operator class, " +
                std::to_string(cli.i64("cores")) + "-core run");
   std::printf("%zu points cube Laplace; evaluation time %.3f s (paper: 17.6 s "
-              "at 30M points)\n\n", n, r.virtual_time);
+              "at 30M points)\n\n", n, r.makespan);
   auto cls = [&](Operator op) {
     return p.by_class[static_cast<std::size_t>(op)];
   };

@@ -362,40 +362,20 @@ int run_kernel_sweep(const std::string& path, bool forced) {
   return 0;
 }
 
-// Console reporter that also collects (name, ns/op) so a machine-readable
-// summary can be written next to the usual console table.
-class CollectingReporter : public benchmark::ConsoleReporter {
- public:
-  std::vector<bench::BenchEntry> entries;
-
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& run : runs) {
-      if (run.run_type == Run::RT_Iteration && !run.error_occurred) {
-        // p = 3 * digits; the fixtures run setup(1.0, 8, 3).
-        entries.push_back({run.benchmark_name(), run.GetAdjustedRealTime(),
-                           {{"p", 9.0}}});
-      }
-    }
-    benchmark::ConsoleReporter::ReportRuns(runs);
-  }
-};
-
 }  // namespace
 
-// BENCHMARK_MAIN() plus three flags stripped before the remaining argv is
-// handed to the benchmark library:
-//   --json <path>          write {name, p, ns_per_op} records after the run
+// BENCHMARK_MAIN() plus two flags stripped before the remaining argv is
+// handed to the benchmark library (whose own --benchmark_format and
+// --benchmark_out=PATH --benchmark_out_format=json give JSON output):
 //   --isa <name>           force the SIMD dispatch ISA (scalar|neon|avx2|
 //                          avx512); errors out if unsupported on this host
 //   --kernels-json <path>  run the per-ISA SIMD kernel sweep instead of the
 //                          operator benchmarks and write BENCH_kernels.json
 int main(int argc, char** argv) {
-  std::string json_path, kernels_json, isa_name;
+  std::string kernels_json, isa_name;
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
-    if (std::string(argv[i]) == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::string(argv[i]) == "--kernels-json" && i + 1 < argc) {
+    if (std::string(argv[i]) == "--kernels-json" && i + 1 < argc) {
       kernels_json = argv[++i];
     } else if (std::string(argv[i]) == "--isa" && i + 1 < argc) {
       isa_name = argv[++i];
@@ -423,15 +403,7 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&filtered, args.data());
   if (benchmark::ReportUnrecognizedArguments(filtered, args.data())) return 1;
 
-  CollectingReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-
-  if (!json_path.empty() &&
-      !bench::write_bench_json(json_path, reporter.entries)) {
-    std::fprintf(stderr, "micro_operators: cannot write %s\n",
-                 json_path.c_str());
-    return 1;
-  }
+  benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;
 }

@@ -243,27 +243,6 @@ void BM_ParcelFanOutSim(benchmark::State& state) {
 }
 BENCHMARK(BM_ParcelFanOutSim)->Arg(0)->Arg(1);
 
-// Console reporter that also collects (name, ns/op, counters) so a
-// machine-readable summary can be written next to the console table.
-class CollectingReporter : public benchmark::ConsoleReporter {
- public:
-  std::vector<bench::BenchEntry> entries;
-
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& run : runs) {
-      if (run.run_type == Run::RT_Iteration && !run.error_occurred) {
-        bench::BenchEntry e{run.benchmark_name(), run.GetAdjustedRealTime(),
-                            {}};
-        for (const auto& [name, counter] : run.counters) {
-          e.counters.emplace_back(name, counter.value);
-        }
-        entries.push_back(std::move(e));
-      }
-    }
-    benchmark::ConsoleReporter::ReportRuns(runs);
-  }
-};
-
 // --- Socket transport micro-benchmark (--transport-json) -------------------
 //
 // Round-trip latency, one-way message rate, and bandwidth over a real
@@ -448,19 +427,17 @@ void run_transport_bench(net::TransportKind kind, const std::string& kind_name,
 
 }  // namespace
 
-// BENCHMARK_MAIN() plus a `--json <path>` flag: when given, a JSON array of
-// {name, ns_per_op, counters...} records is written to <path> after the
-// run.  A separate `--transport-json <path>` runs the socket-transport
-// measurements and writes BENCH_transport.json-style rows.  Both flags are
-// stripped before argv is handed to the benchmark library.
+// BENCHMARK_MAIN() plus a `--transport-json <path>` flag, stripped before
+// argv is handed to the benchmark library: when given, the socket-transport
+// measurements run first and write BENCH_transport.json-style rows (their
+// summary goes to stderr, so stdout stays the library's output).  JSON for
+// the google-benchmark runs comes from the library's own --benchmark_format
+// and --benchmark_out=PATH --benchmark_out_format=json.
 int main(int argc, char** argv) {
-  std::string json_path;
   std::string transport_json_path;
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
-    if (std::string(argv[i]) == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::string(argv[i]) == "--transport-json" && i + 1 < argc) {
+    if (std::string(argv[i]) == "--transport-json" && i + 1 < argc) {
       transport_json_path = argv[++i];
     } else {
       args.push_back(argv[i]);
@@ -476,22 +453,15 @@ int main(int argc, char** argv) {
       return 1;
     }
     for (const auto& r : rows) {
-      std::printf("%-32s %12.0f ns/op\n", r.name.c_str(), r.ns_per_op);
+      std::fprintf(stderr, "%-32s %12.0f ns/op\n", r.name.c_str(),
+                   r.ns_per_op);
     }
   }
   int filtered = static_cast<int>(args.size());
   benchmark::Initialize(&filtered, args.data());
   if (benchmark::ReportUnrecognizedArguments(filtered, args.data())) return 1;
 
-  CollectingReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-
-  if (!json_path.empty() &&
-      !bench::write_bench_json(json_path, reporter.entries)) {
-    std::fprintf(stderr, "micro_runtime: cannot write %s\n",
-                 json_path.c_str());
-    return 1;
-  }
+  benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;
 }

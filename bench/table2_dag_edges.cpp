@@ -80,14 +80,15 @@ int main(int argc, char** argv) {
     Ensembles es = make_ensembles(Distribution::kCube, n_sim, 7);
     EvalConfig ecfg;
     ecfg.threshold = static_cast<int>(cli.i64("threshold"));
-    Evaluator eval(make_kernel("counting"), ecfg);
+    Evaluator plain(make_kernel("counting"), ecfg);
+    ecfg.coalesce.enabled = true;
+    Evaluator coalesced(make_kernel("counting"), ecfg);
     SimConfig sim;
     sim.localities = 4;
     sim.cores_per_locality = 32;
     sim.cost = CostModel::paper(cli.str("kernel"));
-    const SimResult off = eval.simulate(es.sources, es.targets, sim);
-    sim.coalesce.enabled = true;
-    const SimResult on = eval.simulate(es.sources, es.targets, sim);
+    const EvalResult off = plain.simulate(es.sources, es.targets, sim);
+    const EvalResult on = coalesced.simulate(es.sources, es.targets, sim);
     std::printf(
         "\nWire traffic at 4x32 simulated cores (%zu points):\n"
         "%-12s %12s %12s %10s %12s %14s\n", n_sim, "coalescing", "parcels",
@@ -98,7 +99,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(r->comm.parcels),
                   static_cast<unsigned long long>(r->comm.batches),
                   r->comm.coalescing_factor(),
-                  static_cast<double>(r->comm.bytes) / 1e6, r->virtual_time);
+                  static_cast<double>(r->comm.bytes) / 1e6, r->makespan);
     }
   }
   return 0;

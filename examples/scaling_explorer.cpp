@@ -37,17 +37,14 @@ int main(int argc, char** argv) {
 
   EvalConfig cfg;
   cfg.threshold = static_cast<int>(cli.i64("threshold"));
+  cfg.trace = true;
+  cfg.counters = true;
+  cfg.split_priority = cli.str("policy") == "priority";
   Evaluator eval(make_kernel(cli.str("kernel"), 2.0), cfg);
 
   SimConfig sim;
   sim.cores_per_locality = 32;
-  sim.trace = true;
-  sim.counters = true;
-  if (cli.str("policy") == "fifo") {
-    sim.policy = SchedPolicy::kFifo;
-  } else if (cli.str("policy") == "priority") {
-    sim.split_priority = true;
-  }
+  if (cli.str("policy") == "fifo") sim.policy = SchedPolicy::kFifo;
   if (cli.str("cost-profile") == "host") {
     auto probe = make_kernel(cli.str("kernel"), 2.0);
     probe->setup(1.0, 8, 3);
@@ -62,19 +59,18 @@ int main(int argc, char** argv) {
 
   // Reference run at one locality, then the requested core count.
   sim.localities = 1;
-  const SimResult base = eval.simulate(sources, targets, sim);
-  double t32 = base.virtual_time;
-  SimResult r = base;
+  const EvalResult base = eval.simulate(sources, targets, sim);
+  double t32 = base.makespan;
+  EvalResult r = base;
   if (cores > 32) {
     sim.localities = cores / 32;
     r = eval.simulate(sources, targets, sim);
   }
 
   std::printf("\n  predicted evaluation time: %10.4f s on %d cores\n",
-              r.virtual_time, cores);
+              r.makespan, cores);
   std::printf("  speedup vs 32 cores:       %10.2f  (efficiency %.1f%%)\n",
-              t32 / r.virtual_time,
-              100.0 * t32 / r.virtual_time / (cores / 32.0));
+              t32 / r.makespan, 100.0 * t32 / r.makespan / (cores / 32.0));
   std::printf("  DAG:                       %zu nodes, %zu edges "
               "(%.1f%% remote)\n",
               r.dag.total_nodes, r.dag.total_edges,
@@ -85,7 +81,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(r.parcels_sent));
 
   const UtilizationProfile u =
-      utilization(r.trace, 0.0, r.virtual_time, 20, r.total_cores);
+      utilization(r.trace, 0.0, r.makespan, 20,
+                  sim.localities * sim.cores_per_locality);
   std::printf("  utilization (20 intervals):");
   for (double f : u.total) std::printf(" %3.0f%%", 100.0 * f);
   std::printf("\n");

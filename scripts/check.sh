@@ -17,16 +17,18 @@
 #      test suite,
 #   7. UndefinedBehaviorSanitizer build + complete test suite,
 #   8. clang-format check (skipped when clang-format is unavailable),
-#   9. benchmark smoke run with JSON output, including the setup-phase
-#      micro_tree run (tree, lists and DAG build up to n = 1e5, with the
-#      dataflow_counting geometry; JSON checked, times not gated), the
+#   9. benchmark smoke run with google-benchmark's JSON output
+#      (--benchmark_out files for micro_operators, micro_runtime and the
+#      setup-phase micro_tree run — tree, lists and DAG build up to
+#      n = 1e5, with the dataflow_counting geometry — plus micro_runtime's
+#      --benchmark_format=json on stdout; JSON checked, times not gated), the
 #      per-ISA SIMD kernel sweep gated by scripts/check_bench_kernels.py
 #      and the socket transport sweep gated by
 #      scripts/check_bench_transport.py,
 #  10. multi-process loopback: amtfmm_launch forks real socket localities
 #      (unix + tcp, 2 and 4 processes, coalescing on and off) and
-#      amtfmm_loopback asserts multi-process == in-process == sim
-#      potentials at 1e-12,
+#      amtfmm_loopback asserts multi-process == in-process potentials at
+#      1e-12 and equal wire bytes in process, across ranks and simulated,
 #  11. resident-serve, telemetry and trace-export smokes, then a 2-second
 #      fmmbench run of every BENCHMARK.json workload, failing on a nonzero
 #      exit, correct: false or failed > 0 (scripts/check_fmmbench.py).
@@ -134,14 +136,21 @@ fi
 echo "== Benchmark smoke (JSON) =="
 mkdir -p build/bench-smoke
 ./build/bench/micro_operators --benchmark_min_time=0.05 \
-  --json build/bench-smoke/micro_operators.json
+  --benchmark_out=build/bench-smoke/micro_operators.json \
+  --benchmark_out_format=json
 ./build/bench/micro_runtime --benchmark_min_time=0.05 \
-  --json build/bench-smoke/micro_runtime.json
+  --benchmark_out=build/bench-smoke/micro_runtime.json \
+  --benchmark_out_format=json
 ./build/bench/micro_tree --benchmark_min_time=0.05 \
   --benchmark_filter='-/1000000$' \
   --benchmark_out=build/bench-smoke/micro_tree.json \
   --benchmark_out_format=json
-python3 -m json.tool build/bench-smoke/micro_tree.json > /dev/null
+for f in micro_operators micro_runtime micro_tree; do
+  python3 -m json.tool "build/bench-smoke/$f.json" > /dev/null
+done
+./build/bench/micro_runtime --benchmark_filter=BM_SpawnDrain \
+  --benchmark_min_time=0.01 --benchmark_format=json \
+  | python3 -m json.tool > /dev/null
 
 echo "== SIMD kernel sweep (BENCH_kernels.json) =="
 ./build/bench/micro_operators \

@@ -84,7 +84,7 @@ double DagEngine::execute(std::span<const double> charges,
                           std::span<double> potentials) {
   charges_ = charges;
   potentials_ = potentials;
-  if (opt_.mode == EngineMode::kCompute) {
+  if (!opt_.cost) {
     AMTFMM_ASSERT(charges.size() == dt_.source.num_points());
     AMTFMM_ASSERT(potentials.size() == dt_.target.num_points());
     std::fill(potentials.begin(), potentials.end(), 0.0);
@@ -92,7 +92,7 @@ double DagEngine::execute(std::span<const double> charges,
   // relaxed-ok: statistic reset before any worker runs; executor spawn
   // publishes it.
   wire_bytes_.store(0, std::memory_order_relaxed);
-  if (opt_.mode == EngineMode::kCompute) {
+  if (!opt_.cost) {
     // Socket localities rebuild remote work from serialized payloads; the
     // handlers must exist before any peer's parcels can arrive.  No-op on
     // in-process executors (they ship the closures themselves).
@@ -130,7 +130,7 @@ double DagEngine::execute(std::span<const double> charges,
                   static_cast<std::uint64_t>(last_reset_seconds_ * 1e6));
     }
   }
-  if (opt_.mode == EngineMode::kCompute) {
+  if (!opt_.cost) {
     // Startup barrier for socket localities: an empty drain rendezvouses
     // every rank (the termination protocol agrees on the all-zero counter
     // cut), so no peer can have seeded — and therefore no eval parcel can
@@ -252,7 +252,7 @@ DagEngine::SourceView DagEngine::local_view(NodeIndex ni) {
 void DagEngine::spawn_edge_tasks(NodeIndex ni) {
   const DagNode& n = dag_.nodes[ni];
   if (n.num_edges == 0) return;
-  const bool compute = opt_.mode == EngineMode::kCompute;
+  const bool compute = !opt_.cost;
 
   // Bucket out edges: local ones (possibly split by priority), one eval
   // parcel per remote locality, and per-edge contribution parcels for the
@@ -292,7 +292,7 @@ void DagEngine::spawn_edge_tasks(NodeIndex ni) {
     for (const std::uint32_t e : ids) {
       const DagEdge& edge = dag_.edges[e];
       items.push_back(CostItem{static_cast<std::uint8_t>(edge.op),
-                               opt_.cost.cost(edge.op, edge.cost_metric), e});
+                               opt_.cost->cost(edge.op, edge.cost_metric), e});
     }
     return items;
   };
@@ -897,7 +897,7 @@ void DagEngine::process_contribution(const std::vector<std::byte>& buf) {
 }
 
 void DagEngine::finalize_target(NodeIndex ni) {
-  if (opt_.mode != EngineMode::kCompute) return;
+  if (opt_.cost) return;
   const DagNode& n = dag_.nodes[ni];
   const TreeBox& box = dt_.target.box(n.box);
   ExpansionPayload& p = lco(ni)->payload();

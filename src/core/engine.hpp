@@ -15,14 +15,11 @@
 namespace amtfmm {
 
 /// How the implicit DAG is driven.
-enum class EngineMode {
-  kCompute,   ///< run the expansion math, produce potentials (real results)
-  kCostOnly,  ///< run only the dataflow; task times come from the CostModel
-};
-
 struct EngineOptions {
-  EngineMode mode = EngineMode::kCompute;
-  CostModel cost;        ///< used in kCostOnly mode
+  /// Without a cost model the engine runs the expansion math and produces
+  /// potentials; with one it runs only the dataflow (cost-only mode), and
+  /// task times come from the model.
+  std::optional<CostModel> cost;
   bool split_priority = false;  ///< separate high-priority upward-pass tasks
 };
 
@@ -49,7 +46,7 @@ struct EngineOptions {
 /// No pointer crosses a locality boundary: every remote byte is serialized
 /// into the parcel buffer and deserialized at the destination, so
 /// Executor::bytes_sent() equals the true serialized wire bytes
-/// (wire_bytes() cross-checks this).  In kCostOnly mode the identical
+/// (wire_bytes() cross-checks this).  In cost-only mode the identical
 /// LCO/parcel dataflow runs with 8-byte dependency records and modelled
 /// task durations; parcel sizes come from the same wire-format arithmetic,
 /// so simulated bytes match real bytes by construction.
@@ -79,8 +76,6 @@ class DagEngine {
 
   /// Completed execute() epochs on this engine instance.
   std::uint64_t epochs() const { return epoch_; }
-  /// Whether the GAS arena is instantiated (true after the first execute).
-  bool resident() const { return instantiated_; }
   /// Wall seconds spent re-arming the resident arena before the last
   /// epoch; 0.0 for the first epoch (which pays instantiate() instead).
   double last_reset_seconds() const { return last_reset_seconds_; }
@@ -97,7 +92,6 @@ class DagEngine {
   }
 
   const Gas& gas() const { return gas_; }
-  GlobalAddress address_of(NodeIndex ni) const { return addr_[ni]; }
 
   /// Callback from ExpansionLCO::on_fire (runs on the triggering thread,
   /// which is always on the node's home locality).

@@ -1,20 +1,20 @@
 #include "core/evaluator.hpp"
 
 #include "core/pipeline.hpp"
-#include "runtime/locality_runtime.hpp"
-#include "runtime/net/net_executor.hpp"
 #include "support/error.hpp"
-#include "support/timer.hpp"
 
 namespace amtfmm {
+
+void validate_config(const EvalConfig& cfg) {
+  if (cfg.threshold < 1 || cfg.digits < 1) {
+    throw config_error("threshold and digits must be positive");
+  }
+}
 
 Evaluator::Evaluator(std::unique_ptr<Kernel> kernel, EvalConfig cfg)
     : kernel_(std::move(kernel)), cfg_(cfg) {
   AMTFMM_ASSERT(kernel_ != nullptr);
-  if (cfg_.threshold < 1 || cfg_.digits < 1) {
-    throw config_error("threshold and digits must be positive");
-  }
-  kernel_->set_m2l_mode(cfg_.m2l_mode);
+  validate_config(cfg_);
 }
 
 Evaluator::~Evaluator() = default;
@@ -23,9 +23,7 @@ EvalResult Evaluator::evaluate(std::span<const Vec3> sources,
                                std::span<const double> charges,
                                std::span<const Vec3> targets) {
   AMTFMM_ASSERT(sources.size() == charges.size());
-  // One-shot: a pipeline that lives for a single epoch.
-  EvalPipeline pipeline(*kernel_, cfg_, sources, targets);
-  return pipeline.evaluate(charges);
+  return EvalPipeline(*kernel_, cfg_, sources, targets).evaluate(charges);
 }
 
 void Evaluator::prepare(std::span<const Vec3> sources,
@@ -34,57 +32,13 @@ void Evaluator::prepare(std::span<const Vec3> sources,
       std::make_unique<EvalPipeline>(*kernel_, cfg_, sources, targets);
 }
 
-EvalResult Evaluator::evaluate_prepared(std::span<const double> charges) {
-  if (!pipeline_) {
-    throw config_error("evaluate_prepared() requires a prior prepare()");
-  }
-  return pipeline_->evaluate(charges);
-}
-
-EvalResult Evaluator::evaluate_distributed(net::NetExecutor& ex,
-                                           std::span<const Vec3> sources,
-                                           std::span<const double> charges,
-                                           std::span<const Vec3> targets) {
-  AMTFMM_ASSERT(sources.size() == charges.size());
-  // One epoch on a borrowed mesh.  The pipeline's baseline snapshots make
-  // the per-rank transport identity hold even when the same connections
-  // already carried a previous evaluation.
-  EvalPipeline pipeline(*kernel_, cfg_, sources, targets, ex);
-  return pipeline.evaluate(charges);
-}
-
-SimResult Evaluator::simulate(std::span<const Vec3> sources,
-                              std::span<const Vec3> targets,
-                              const SimConfig& sim) {
-  SimResult out;
-  const PreparedModel p =
-      build_model(*kernel_, cfg_, sources, targets, sim.localities);
-  out.dag = p.dag.stats();
-  out.total_cores = sim.localities * sim.cores_per_locality;
-
+EvalResult Evaluator::simulate(std::span<const Vec3> sources,
+                               std::span<const Vec3> targets,
+                               const SimConfig& sim) {
   SimExecutor ex(sim.localities, sim.cores_per_locality, sim.policy,
-                 sim.network, sim.seed, sim.coalesce);
-  ex.trace().set_enabled(sim.trace);
-  ex.counters().set_enabled(sim.counters);
-  EngineOptions opt;
-  opt.mode = EngineMode::kCostOnly;
-  opt.cost = sim.cost;
-  opt.split_priority = sim.split_priority;
-  DagEngine engine(p.dag, p.tree, *kernel_, ex, opt);
-  out.virtual_time = engine.execute({}, {});
-  out.bytes_sent = ex.bytes_sent();
-  out.parcels_sent = ex.parcels_sent();
-  out.wire_bytes = engine.wire_bytes();
-  AMTFMM_ASSERT(out.wire_bytes == out.bytes_sent);
-  out.comm = ex.comm_stats();
-  if (sim.trace) {
-    out.trace = ex.trace().collect();
-    out.comm_trace = ex.trace().collect_comm();
-    out.instants = ex.trace().collect_instants();
-    out.dag_edges = flatten_dag_edges(p.dag);
-  }
-  if (sim.counters) out.counters = ex.counters().snapshot();
-  return out;
+                 sim.network, cfg_.seed, cfg_.coalesce);
+  return EvalPipeline(*kernel_, cfg_, sources, targets, ex, sim.cost)
+      .evaluate({});
 }
 
 std::vector<double> direct_sum(const Kernel& kernel,

@@ -9,10 +9,6 @@
 
 namespace amtfmm {
 
-namespace net {
-class NetExecutor;
-}
-
 class EvalPipeline;
 
 /// User-facing configuration.  Everything here is a plain parameter — the
@@ -36,8 +32,11 @@ struct EvalConfig {
 };
 
 struct EvalResult {
-  std::vector<double> potentials;  ///< one per target, in caller order
-  double makespan = 0.0;           ///< DAG evaluation time (seconds)
+  /// One per target, in caller order; empty for a simulated epoch.
+  std::vector<double> potentials;
+  /// DAG evaluation time (seconds): wall clock, or virtual time when
+  /// simulated.
+  double makespan = 0.0;
   double setup_time = 0.0;         ///< tree + lists + DAG construction
   DagStats dag;
   std::vector<TraceEvent> trace;
@@ -56,41 +55,26 @@ struct EvalResult {
   CounterSnapshot counters;  ///< filled when EvalConfig::counters is on
 };
 
-/// Configuration for a simulated (DES) evaluation of the same DAG.
+/// Throws config_error for a threshold or digit count below one.  The one
+/// check shared by Evaluator and EvalPipeline; each kernel's setup rejects
+/// digit counts above its own range.
+void validate_config(const EvalConfig& cfg);
+
+/// The simulated machine of a DES evaluation.  Everything else (coalescing,
+/// priorities, tracing, counters, seed) comes from the evaluation's
+/// EvalConfig, exactly as for a real run.
 struct SimConfig {
   int localities = 1;
   int cores_per_locality = 32;  ///< Big Red II: 32 cores per node
   SchedPolicy policy = SchedPolicy::kWorkStealing;
-  bool split_priority = false;
   NetworkModel network{};
-  CoalesceConfig coalesce{};  ///< per-locality parcel coalescing
   CostModel cost;  ///< fill via CostModel::paper() or ::measured()
-  bool trace = false;
-  bool counters = false;  ///< runtime counter registry (see counters.hpp)
-  std::uint64_t seed = 1;
 };
 
-struct SimResult {
-  double virtual_time = 0.0;
-  DagStats dag;
-  std::vector<TraceEvent> trace;
-  std::vector<CommEvent> comm_trace;
-  std::vector<InstantEvent> instants;
-  /// DAG edges flattened as [src, dst, ...] in edge-id order (see
-  /// EvalResult::dag_edges).
-  std::vector<std::uint32_t> dag_edges;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t parcels_sent = 0;
-  /// Engine-side wire-format byte count; always equals bytes_sent.
-  std::uint64_t wire_bytes = 0;
-  CommStats comm;
-  CounterSnapshot counters;  ///< filled when SimConfig::counters is on
-  int total_cores = 0;
-};
-
-/// The top-level HMM evaluator: builds the dual tree, the interaction
-/// lists, and the explicit DAG, then evaluates the implicit LCO dataflow
-/// network on the requested substrate.
+/// The top-level HMM evaluator: a facade owning the kernel.  Every epoch it
+/// runs — real or simulated — is an EvalPipeline epoch (dual tree,
+/// interaction lists, explicit DAG, then the implicit LCO dataflow network
+/// on the requested executor).
 ///
 ///   auto eval = Evaluator(make_kernel("laplace"), {});
 ///   auto result = eval.evaluate(sources, charges, targets);
@@ -101,9 +85,11 @@ struct SimResult {
 /// substitution of DESIGN.md).
 class Evaluator {
  public:
+  /// Throws config_error when validate_config rejects `cfg`.
   Evaluator(std::unique_ptr<Kernel> kernel, EvalConfig cfg);
   ~Evaluator();
 
+  /// One-shot: a pipeline that lives for a single epoch.
   EvalResult evaluate(std::span<const Vec3> sources,
                       std::span<const double> charges,
                       std::span<const Vec3> targets);
@@ -111,37 +97,20 @@ class Evaluator {
   /// Iterative use (the opening of the paper's section IV): the FMM is
   /// commonly evaluated many times over the same geometry with different
   /// charges, so the tree/lists/DAG setup is built once and amortized.
-  /// prepare() fixes the ensembles; evaluate_prepared() then runs one DAG
-  /// evaluation per call, reusing every setup artifact.
-  /// Under the hood prepare() stands up a resident EvalPipeline, so every
-  /// evaluate_prepared() after the first re-arms the same GAS/LCO arena in
-  /// place (epoch reset) instead of re-instantiating it.
+  /// prepare() stands up a resident EvalPipeline for the ensembles;
+  /// pipeline()->evaluate(charges) then runs one epoch per call, re-arming
+  /// the same GAS/LCO arena in place.
   void prepare(std::span<const Vec3> sources, std::span<const Vec3> targets);
-  EvalResult evaluate_prepared(std::span<const double> charges);
-  bool prepared() const { return pipeline_ != nullptr; }
 
-  /// The resident pipeline behind prepare(), for epoch statistics and
-  /// incremental updates (null before prepare()).
+  /// The resident pipeline behind prepare(), for epochs, epoch statistics
+  /// and incremental updates (null before prepare()).
   EvalPipeline* pipeline() { return pipeline_.get(); }
 
-  SimResult simulate(std::span<const Vec3> sources,
-                     std::span<const Vec3> targets, const SimConfig& sim);
-
-  /// One SPMD rank of a distributed evaluation over socket localities:
-  /// every rank calls this with the IDENTICAL inputs and configuration
-  /// (the tree/lists/DAG are deterministic, so all processes agree on
-  /// placement without communicating), using `ex.num_localities()` as the
-  /// locality count.  The returned potentials are this rank's PARTIAL
-  /// result — entries for target boxes homed on other ranks are zero, so
-  /// the global answer is the element-wise sum across ranks (each target
-  /// has exactly one home).  bytes_sent/wire_bytes/comm likewise cover
-  /// only this rank's sends, and wire_bytes == bytes_sent stays asserted
-  /// per rank.  EvalConfig::localities/cores_per_locality are ignored in
-  /// favor of the executor's world and pool.
-  EvalResult evaluate_distributed(net::NetExecutor& ex,
-                                  std::span<const Vec3> sources,
-                                  std::span<const double> charges,
-                                  std::span<const Vec3> targets);
+  /// One cost-only epoch of the same pipeline on a SimExecutor built from
+  /// `sim` and this evaluator's configuration.  The result carries no
+  /// potentials; its makespan is the simulated (virtual) time.
+  EvalResult simulate(std::span<const Vec3> sources,
+                      std::span<const Vec3> targets, const SimConfig& sim);
 
   const Kernel& kernel() const { return *kernel_; }
   const EvalConfig& config() const { return cfg_; }

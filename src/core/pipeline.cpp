@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "runtime/locality_runtime.hpp"
-#include "runtime/net/net_executor.hpp"
 #include "support/error.hpp"
 #include "support/timer.hpp"
 
@@ -56,28 +55,29 @@ PreparedModel build_model(Kernel& kernel, const EvalConfig& cfg,
 EvalPipeline::EvalPipeline(Kernel& kernel, const EvalConfig& cfg,
                            std::span<const Vec3> sources,
                            std::span<const Vec3> targets)
-    : kernel_(kernel),
-      cfg_(cfg),
-      src_pts_(sources.begin(), sources.end()),
-      tgt_pts_(targets.begin(), targets.end()) {
-  owned_ex_ = std::make_unique<ThreadExecutor>(
-      cfg_.localities, cfg_.cores_per_locality, cfg_.seed, cfg_.coalesce);
-  ex_ = owned_ex_.get();
-  ex_->trace().set_enabled(cfg_.trace);
-  ex_->counters().set_enabled(cfg_.counters);
-  build(src_pts_, tgt_pts_);
-  snapshot_baseline();
-}
+    : EvalPipeline(kernel, cfg, sources, targets,
+                   std::make_unique<ThreadExecutor>(
+                       cfg.localities, cfg.cores_per_locality, cfg.seed,
+                       cfg.coalesce)) {}
 
 EvalPipeline::EvalPipeline(Kernel& kernel, const EvalConfig& cfg,
                            std::span<const Vec3> sources,
                            std::span<const Vec3> targets,
-                           net::NetExecutor& ex)
+                           std::unique_ptr<ThreadExecutor> owned)
+    : EvalPipeline(kernel, cfg, sources, targets, *owned) {
+  owned_ex_ = std::move(owned);
+}
+
+EvalPipeline::EvalPipeline(Kernel& kernel, const EvalConfig& cfg,
+                           std::span<const Vec3> sources,
+                           std::span<const Vec3> targets, Executor& ex,
+                           std::optional<CostModel> cost)
     : kernel_(kernel),
       cfg_(cfg),
+      cost_(std::move(cost)),
       src_pts_(sources.begin(), sources.end()),
-      tgt_pts_(targets.begin(), targets.end()) {
-  ex_ = &ex;
+      tgt_pts_(targets.begin(), targets.end()),
+      ex_(&ex) {
   ex_->trace().set_enabled(cfg_.trace);
   ex_->counters().set_enabled(cfg_.counters);
   build(src_pts_, tgt_pts_);
@@ -88,15 +88,15 @@ EvalPipeline::~EvalPipeline() = default;
 
 void EvalPipeline::build(std::span<const Vec3> sources,
                          std::span<const Vec3> targets) {
+  validate_config(cfg_);
+  kernel_.set_m2l_mode(cfg_.m2l_mode);
   Timer setup;
   model_ = build_model(kernel_, cfg_, sources, targets,
                        ex_->num_localities());
   setup_seconds_ = setup.seconds();
-  EngineOptions opt;
-  opt.mode = EngineMode::kCompute;
-  opt.split_priority = cfg_.split_priority;
-  engine_ = std::make_unique<DagEngine>(model_.dag, model_.tree, kernel_,
-                                        *ex_, opt);
+  engine_ = std::make_unique<DagEngine>(
+      model_.dag, model_.tree, kernel_, *ex_,
+      EngineOptions{cost_, cfg_.split_priority});
 }
 
 void EvalPipeline::rebuild() {
@@ -115,7 +115,9 @@ void EvalPipeline::snapshot_baseline() {
 }
 
 EvalResult EvalPipeline::evaluate(std::span<const double> charges) {
-  AMTFMM_ASSERT(charges.size() == model_.tree.source.num_points());
+  // A cost-only epoch takes no charges and produces no potentials.
+  AMTFMM_ASSERT(charges.size() ==
+                (cost_ ? 0 : model_.tree.source.num_points()));
   EvalResult out;
   // The DAG changes only in build, rebuild and incremental refresh; each
   // clears the cached stats, so an epoch recomputes them only after one.
@@ -130,7 +132,7 @@ EvalResult EvalPipeline::evaluate(std::span<const double> charges) {
   for (std::size_t i = 0; i < charges.size(); ++i) {
     sorted_q_[i] = charges[sperm[i]];
   }
-  sorted_phi_.assign(model_.tree.target.num_points(), 0.0);
+  sorted_phi_.assign(cost_ ? 0 : model_.tree.target.num_points(), 0.0);
 
   epoch_starts_.push_back(ex_->now());
   out.makespan = engine_->execute(sorted_q_, sorted_phi_);

@@ -9,10 +9,6 @@
 
 namespace amtfmm {
 
-namespace net {
-class NetExecutor;
-}
-
 /// The setup artifacts of one geometry: dual tree and the explicit DAG.
 /// Deterministic from the inputs and the configuration alone (the SPMD
 /// agreement distributed ranks rely on).  The interaction lists are a
@@ -59,15 +55,17 @@ struct PipelineUpdateStats {
   std::size_t dirty_leaves = 0;
 };
 
-/// FMM-as-a-service: the resident, reusable evaluation pipeline.  Where
-/// Evaluator::evaluate lives one shot — build tree, allocate the GAS/LCO
-/// arena, evaluate, tear everything down — the pipeline keeps every layer
-/// alive across epochs:
+/// The one evaluation path: every epoch — real or simulated, in process or
+/// on a socket rank — runs here and fills its EvalResult here.  Evaluator
+/// is a facade over it.  The pipeline is resident: where a one-shot
+/// evaluation builds the tree, allocates the GAS/LCO arena, evaluates and
+/// tears everything down, the pipeline keeps every layer alive across
+/// epochs:
 ///
-///  - the executor (worker pool or socket mesh) stays up; per-epoch
-///    transport statistics are deltas against a baseline snapshot, so the
-///    wire_bytes == bytes_sent identity holds per epoch on a shared
-///    executor,
+///  - the executor (worker pool, socket mesh or simulator) stays up;
+///    per-epoch transport statistics are deltas against a baseline
+///    snapshot, so the wire_bytes == bytes_sent identity holds per epoch on
+///    a shared executor,
 ///  - the DagEngine is resident: epoch 1 instantiates the GAS arena, every
 ///    later epoch re-arms the same LCOs in place and replays the leaf
 ///    seeds — zero GAS/LCO allocations in steady state,
@@ -79,26 +77,43 @@ struct PipelineUpdateStats {
 ///
 /// With a NetExecutor every rank runs the identical pipeline (SPMD): same
 /// updates, same epochs, in the same order.
+///
+/// Construction validates `cfg` (validate_config; the kernel's setup
+/// rejects digits beyond its range) and applies cfg.m2l_mode to the kernel,
+/// both before the tree or the kernel tables are built.
 class EvalPipeline {
  public:
-  /// Resident in-process pipeline owning a ThreadExecutor.
+  /// Resident in-process pipeline owning a ThreadExecutor configured from
+  /// `cfg` (localities, cores, seed, coalescing).
   EvalPipeline(Kernel& kernel, const EvalConfig& cfg,
                std::span<const Vec3> sources, std::span<const Vec3> targets);
-  /// Resident multi-process pipeline over a borrowed socket executor (one
-  /// SPMD rank).  Potentials are this rank's partial result, exactly as in
-  /// Evaluator::evaluate_distributed.
+  /// Resident pipeline over a borrowed executor, which keeps its own world,
+  /// pool, seed and coalescing (EvalConfig::localities,
+  /// cores_per_locality, seed and coalesce are not read).
+  ///
+  ///  - Without a cost model the epochs compute.  On a socket executor
+  ///    every rank builds the identical pipeline from identical inputs (the
+  ///    tree/lists/DAG are deterministic, so all ranks agree on placement
+  ///    without communicating), and the potentials are this rank's PARTIAL
+  ///    result: entries for target boxes homed on other ranks are zero, so
+  ///    the global answer is the element-wise sum across ranks.  Transport
+  ///    statistics cover only this rank's sends.
+  ///  - With a cost model the epochs are cost-only (a SimExecutor's
+  ///    simulated run): evaluate() takes empty charges and returns empty
+  ///    potentials, and the makespan is virtual time.
   EvalPipeline(Kernel& kernel, const EvalConfig& cfg,
                std::span<const Vec3> sources, std::span<const Vec3> targets,
-               net::NetExecutor& ex);
+               Executor& ex, std::optional<CostModel> cost = {});
   ~EvalPipeline();
 
   EvalPipeline(const EvalPipeline&) = delete;
   EvalPipeline& operator=(const EvalPipeline&) = delete;
 
   /// One epoch: evaluates the resident DAG for `charges` (original order,
-  /// one per source).  Trace buffers accumulate across epochs when tracing
-  /// is on (export once with epoch metadata); all transport statistics in
-  /// the result are this epoch's deltas.
+  /// one per source; empty in cost-only mode).  Trace buffers accumulate
+  /// across epochs when tracing is on (export once with epoch metadata);
+  /// all transport statistics in the result are this epoch's deltas, and
+  /// wire_bytes == bytes_sent is asserted on every executor.
   EvalResult evaluate(std::span<const double> charges);
 
   /// One epoch carrying many independent target-query sets: a single
@@ -146,8 +161,14 @@ class EvalPipeline {
   PipelineUpdateStats apply_update(bool source_side, const PipelineUpdate& u);
   void snapshot_baseline();
 
+  /// The owning constructor's body: runs on `owned` and keeps it.
+  EvalPipeline(Kernel& kernel, const EvalConfig& cfg,
+               std::span<const Vec3> sources, std::span<const Vec3> targets,
+               std::unique_ptr<ThreadExecutor> owned);
+
   Kernel& kernel_;
   EvalConfig cfg_;
+  std::optional<CostModel> cost_;  ///< set: cost-only (simulated) epochs
   std::vector<Vec3> src_pts_;  ///< original caller order
   std::vector<Vec3> tgt_pts_;
   PreparedModel model_;

@@ -30,12 +30,6 @@ struct Cube {
                 h};
   }
 
-  /// Octant of a point relative to the cube center.
-  int octant_of(const Vec3& p) const {
-    const Vec3 c = center();
-    return (p.x >= c.x ? 1 : 0) | (p.y >= c.y ? 2 : 0) | (p.z >= c.z ? 4 : 0);
-  }
-
   bool contains(const Vec3& p) const {
     const Vec3 h = high();
     return p.x >= low.x && p.x <= h.x && p.y >= low.y && p.y <= h.y &&

@@ -27,6 +27,14 @@ const char* to_string(Operator op) {
   return "?";
 }
 
+void Kernel::require_digits(int digits, int max_digits) const {
+  if (digits < 1 || digits > max_digits) {
+    throw config_error(name() + " kernel supports 1 to " +
+                       std::to_string(max_digits) + " digits, not " +
+                       std::to_string(digits));
+  }
+}
+
 std::size_t Kernel::m_wire_bytes(int level) const {
   return m_count(level) * sizeof(cdouble);
 }
@@ -134,25 +142,11 @@ void Kernel::i2l_acc(const CoeffVec&, Axis, int, CoeffVec&) const {
 
 std::unique_ptr<Kernel> make_kernel(const std::string& name,
                                     double yukawa_lambda) {
-  return make_kernel(name, KernelConfig{}, yukawa_lambda);
-}
-
-std::unique_ptr<Kernel> make_kernel(const std::string& name,
-                                    const KernelConfig& config,
-                                    double yukawa_lambda) {
-  std::unique_ptr<Kernel> k;
-  if (name == "laplace") {
-    k = std::make_unique<LaplaceKernel>();
-  } else if (name == "yukawa") {
-    k = std::make_unique<YukawaKernel>(yukawa_lambda);
-  } else if (name == "counting") {
-    k = std::make_unique<CountingKernel>();
-  } else {
-    throw config_error("unknown kernel: " + name +
-                       " (expected laplace|yukawa|counting)");
-  }
-  k->set_m2l_mode(config.m2l_mode);
-  return k;
+  if (name == "laplace") return std::make_unique<LaplaceKernel>();
+  if (name == "yukawa") return std::make_unique<YukawaKernel>(yukawa_lambda);
+  if (name == "counting") return std::make_unique<CountingKernel>();
+  throw config_error("unknown kernel: " + name +
+                     " (expected laplace|yukawa|counting)");
 }
 
 }  // namespace amtfmm

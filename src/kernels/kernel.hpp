@@ -39,11 +39,6 @@ const char* to_string(Operator op);
 /// DAG emits and dies on any other (M2LRotationSet::find).
 enum class M2LMode { kRotation, kNaive };
 
-/// Construction-time kernel options (see make_kernel overload below).
-struct KernelConfig {
-  M2LMode m2l_mode = M2LMode::kRotation;
-};
-
 /// Interaction kernel: expansion storage sizes plus the operator set.
 ///
 /// A kernel instance is configured once via setup() for a given domain and
@@ -65,7 +60,8 @@ class Kernel {
 
   /// Prepares per-level tables.  `domain_size` is the edge length of the
   /// root cube; levels run 0..max_level.  `accuracy_digits` selects the
-  /// expansion order (3 digits -> p = 9, the paper's configuration).
+  /// expansion order (3 digits -> p = 9, the paper's configuration);
+  /// digits outside the kernel's supported range throw config_error.
   virtual void setup(double domain_size, int max_level,
                      int accuracy_digits) = 0;
 
@@ -153,6 +149,10 @@ class Kernel {
                        CoeffVec& inout) const;
 
  protected:
+  /// setup()'s digit check: throws config_error unless
+  /// 1 <= digits <= max_digits.
+  void require_digits(int digits, int max_digits) const;
+
   /// Packed conjugate-symmetric wire codec shared by the Laplace and Yukawa
   /// overrides (wire_count(p) complex values; see math/coeffs.hpp).
   static void pack_symmetric(int p, const CoeffVec& full, std::byte* out);
@@ -165,9 +165,6 @@ class Kernel {
 
 /// Factory: "laplace", "yukawa" (with screening parameter), or "counting".
 std::unique_ptr<Kernel> make_kernel(const std::string& name,
-                                    double yukawa_lambda = 1.0);
-std::unique_ptr<Kernel> make_kernel(const std::string& name,
-                                    const KernelConfig& config,
                                     double yukawa_lambda = 1.0);
 
 }  // namespace amtfmm

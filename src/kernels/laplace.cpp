@@ -11,7 +11,7 @@
 namespace amtfmm {
 void LaplaceKernel::setup(double domain_size, int max_level,
                           int accuracy_digits) {
-  AMTFMM_ASSERT(accuracy_digits >= 1 && accuracy_digits <= 10);
+  require_digits(accuracy_digits, 10);
   (void)max_level;
   domain_size_ = domain_size;
   p_ = 3 * accuracy_digits;

@@ -20,7 +20,7 @@ constexpr double kTwoOverPi = 2.0 / std::numbers::pi;
 
 void YukawaKernel::setup(double domain_size, int max_level,
                          int accuracy_digits) {
-  AMTFMM_ASSERT(accuracy_digits >= 1 && accuracy_digits <= 8);
+  require_digits(accuracy_digits, 8);
   AMTFMM_ASSERT(kappa_ > 0.0);
   domain_size_ = domain_size;
   max_level_ = max_level;

@@ -17,7 +17,7 @@ class JsonWriter;
 /// Point-in-time view of every registered metric, merged across the
 /// per-worker shards: counters sum, gauges take the maximum (they record
 /// high-water marks), histograms sum bucket-wise.  Snapshots are attached
-/// to EvalResult/SimResult and serialized by the bench `--json` outputs and
+/// to EvalResult and serialized by the bench `--json` outputs and
 /// the Chrome trace exporter.
 struct CounterSnapshot {
   struct Scalar {

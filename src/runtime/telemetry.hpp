@@ -115,7 +115,6 @@ class TelemetryAggregator {
   /// Drains the queue, writes a final snapshot, joins.  Idempotent.
   void stop();
 
-  const std::string& snapshot_path() const { return path_; }
   std::uint64_t accepted() const { return accepted_; }
   std::uint64_t rejected() const { return rejected_; }
 

@@ -52,10 +52,8 @@ void Cli::parse(int argc, char** argv) {
       print_help();
       std::exit(0);
     }
-    if (arg.rfind("--benchmark_", 0) == 0) {
-      passthrough_.push_back(arg);
-      continue;
-    }
+    // google-benchmark parses its own --benchmark_* flags.
+    if (arg.rfind("--benchmark_", 0) == 0) continue;
     if (arg.rfind("--", 0) != 0) {
       throw config_error("unexpected positional argument: " + arg);
     }

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace amtfmm {
 
@@ -32,9 +31,6 @@ class Cli {
   const std::string& str(const std::string& name) const;
   bool flag(const std::string& name) const;
 
-  /// argv entries not consumed (e.g. --benchmark_* flags).
-  const std::vector<std::string>& passthrough() const { return passthrough_; }
-
  private:
   enum class Kind { kInt, kDouble, kString, kBool };
   struct Entry {
@@ -50,7 +46,6 @@ class Cli {
 
   std::string description_;
   std::map<std::string, Entry> entries_;
-  std::vector<std::string> passthrough_;
 };
 
 }  // namespace amtfmm

@@ -178,24 +178,9 @@ class ListBuilder {
 
 }  // namespace
 
-std::size_t InteractionLists::total_l1() const {
-  std::size_t n = 0;
-  for (const auto& v : l1) n += v.size();
-  return n;
-}
 std::size_t InteractionLists::total_l2() const {
   std::size_t n = 0;
   for (const auto& v : l2) n += v.size();
-  return n;
-}
-std::size_t InteractionLists::total_l3() const {
-  std::size_t n = 0;
-  for (const auto& v : l3) n += v.size();
-  return n;
-}
-std::size_t InteractionLists::total_l4() const {
-  std::size_t n = 0;
-  for (const auto& v : l4) n += v.size();
   return n;
 }
 

@@ -39,10 +39,7 @@ struct InteractionLists {
   std::vector<std::vector<BoxIndex>> l4;
   std::vector<std::uint8_t> dag_leaf;
 
-  std::size_t total_l1() const;
   std::size_t total_l2() const;
-  std::size_t total_l3() const;
-  std::size_t total_l4() const;
 };
 
 /// Builds all lists by a dual-tree traversal.  Both trees must share one

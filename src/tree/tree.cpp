@@ -310,18 +310,6 @@ std::uint32_t Tree::point_locality(std::uint32_t sorted_i) const {
   return static_cast<std::uint32_t>(sorted_i / chunk);
 }
 
-std::size_t Tree::num_leaves() const {
-  std::size_t n = 0;
-  for (const auto& b : boxes_) n += b.is_leaf() ? 1 : 0;
-  return n;
-}
-
-std::vector<std::size_t> Tree::boxes_per_level() const {
-  std::vector<std::size_t> out(static_cast<std::size_t>(max_level_) + 1, 0);
-  for (const auto& b : boxes_) out[b.level]++;
-  return out;
-}
-
 void require_finite(std::span<const Vec3> pts, const char* what) {
   for (std::size_t i = 0; i < pts.size(); ++i) {
     const Vec3& p = pts[i];

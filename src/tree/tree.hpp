@@ -103,10 +103,6 @@ class Tree {
   /// Locality owning sorted point i (contiguous chunks).
   std::uint32_t point_locality(std::uint32_t sorted_i) const;
 
-  /// Number of leaves and per-level box counts (diagnostics).
-  std::size_t num_leaves() const;
-  std::vector<std::size_t> boxes_per_level() const;
-
  private:
   Cube domain_;
   std::vector<TreeBox> boxes_;

@@ -175,13 +175,12 @@ TEST(Evaluator, SimulatedEvaluationScalesWithCores) {
   sim.cost = CostModel::paper("laplace");
   sim.localities = 1;
   sim.cores_per_locality = 32;
-  const SimResult r32 = eval.simulate(src, tgt, sim);
+  const EvalResult r32 = eval.simulate(src, tgt, sim);
   sim.localities = 4;
-  const SimResult r128 = eval.simulate(src, tgt, sim);
-  EXPECT_GT(r32.virtual_time, 0.0);
-  EXPECT_LT(r128.virtual_time, r32.virtual_time)
-      << "more cores must not be slower";
-  const double speedup = r32.virtual_time / r128.virtual_time;
+  const EvalResult r128 = eval.simulate(src, tgt, sim);
+  EXPECT_GT(r32.makespan, 0.0);
+  EXPECT_LT(r128.makespan, r32.makespan) << "more cores must not be slower";
+  const double speedup = r32.makespan / r128.makespan;
   EXPECT_GT(speedup, 1.5);
   EXPECT_LE(speedup, 4.3);
   EXPECT_GT(r128.bytes_sent, 0u);
@@ -191,6 +190,34 @@ TEST(Evaluator, RejectsBadConfiguration) {
   EvalConfig cfg;
   cfg.threshold = 0;
   EXPECT_THROW(Evaluator(make_kernel("laplace"), cfg), config_error);
+}
+
+// A pipeline built without an Evaluator checks the same configuration, and
+// a digit count beyond a kernel's range is a config_error on both paths,
+// not an assertion abort in the kernel's setup.
+TEST(EvalPipeline, RejectsBadConfiguration) {
+  Rng rng(3);
+  const auto pts = generate_points(Distribution::kCube, 300, rng);
+  const std::vector<double> q(pts.size(), 1.0);
+  EvalConfig no_threshold;
+  no_threshold.threshold = 0;
+  EvalConfig no_digits;
+  no_digits.digits = 0;
+  for (const EvalConfig& cfg : {no_threshold, no_digits}) {
+    auto kernel = make_kernel("laplace");
+    EXPECT_THROW(EvalPipeline(*kernel, cfg, pts, pts), config_error);
+  }
+  const std::pair<const char*, int> beyond_range[] = {{"laplace", 11},
+                                                      {"yukawa", 9}};
+  for (const auto& [name, digits] : beyond_range) {
+    SCOPED_TRACE(name);
+    EvalConfig cfg;
+    cfg.digits = digits;
+    auto kernel = make_kernel(name);
+    EXPECT_THROW(EvalPipeline(*kernel, cfg, pts, pts), config_error);
+    Evaluator eval(make_kernel(name), cfg);
+    EXPECT_THROW(eval.evaluate(pts, q, pts), config_error);
+  }
 }
 
 struct DegenerateCase {

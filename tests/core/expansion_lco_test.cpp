@@ -232,7 +232,7 @@ TEST(ExpansionLcoWireFormat, TransportBytesEqualSerializedBytes) {
   SimConfig sim;
   sim.localities = 3;
   sim.cores_per_locality = 2;
-  const SimResult s = eval.simulate(src, tgt, sim);
+  const EvalResult s = eval.simulate(src, tgt, sim);
   EXPECT_EQ(s.wire_bytes, s.bytes_sent);
   EXPECT_EQ(s.wire_bytes, r.wire_bytes);
 }
@@ -286,7 +286,7 @@ TEST(ExpansionLcoEngine, RepeatedEvaluationsStayConsistent) {
   eval.prepare(src, tgt);
   for (int round = 0; round < 3; ++round) {
     const auto q = generate_charges(n, rng);
-    const EvalResult r = eval.evaluate_prepared(q);
+    const EvalResult r = eval.pipeline()->evaluate(q);
     EXPECT_EQ(r.wire_bytes, r.bytes_sent);
     const auto ref = direct_sum(eval.kernel(), src, q, tgt);
     double num = 0, den = 0;

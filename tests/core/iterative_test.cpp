@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/evaluator.hpp"
+#include "core/pipeline.hpp"
 #include "geom/distributions.hpp"
 
 namespace amtfmm {
@@ -20,14 +21,14 @@ TEST(IterativeUse, PreparedEvaluationsMatchOneShot) {
   cfg.localities = 2;
   cfg.cores_per_locality = 2;
   Evaluator eval(make_kernel("laplace"), cfg);
-  EXPECT_FALSE(eval.prepared());
+  EXPECT_EQ(eval.pipeline(), nullptr);
   eval.prepare(src, tgt);
-  EXPECT_TRUE(eval.prepared());
+  ASSERT_NE(eval.pipeline(), nullptr);
 
   for (int iter = 0; iter < 3; ++iter) {
     Rng qr(100 + static_cast<std::uint64_t>(iter));
     const auto q = generate_charges(n, qr);
-    const EvalResult prepared = eval.evaluate_prepared(q);
+    const EvalResult prepared = eval.pipeline()->evaluate(q);
 
     Evaluator fresh(make_kernel("laplace"), cfg);
     const EvalResult oneshot = fresh.evaluate(src, q, tgt);
@@ -55,19 +56,24 @@ TEST(IterativeUse, LinearInCharges) {
   cfg.threshold = 40;
   Evaluator eval(make_kernel("yukawa", 2.0), cfg);
   eval.prepare(src, tgt);
-  const auto r1 = eval.evaluate_prepared(q);
-  const auto r2 = eval.evaluate_prepared(q2);
+  const auto r1 = eval.pipeline()->evaluate(q);
+  const auto r2 = eval.pipeline()->evaluate(q2);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(r2.potentials[i], 2.0 * r1.potentials[i],
                 1e-10 * std::abs(r1.potentials[i]) + 1e-13);
   }
 }
 
+// There is no resident pipeline to evaluate until prepare() builds one.
 TEST(IterativeUse, RequiresPrepare) {
+  Rng rng(47);
+  const auto pts = generate_points(Distribution::kCube, 200, rng);
   EvalConfig cfg;
   Evaluator eval(make_kernel("laplace"), cfg);
-  const std::vector<double> q(10, 1.0);
-  EXPECT_THROW(eval.evaluate_prepared(q), config_error);
+  EXPECT_EQ(eval.pipeline(), nullptr);
+  eval.prepare(pts, pts);
+  ASSERT_NE(eval.pipeline(), nullptr);
+  EXPECT_EQ(eval.pipeline()->num_sources(), pts.size());
 }
 
 }  // namespace

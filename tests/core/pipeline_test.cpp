@@ -43,6 +43,18 @@ EvalConfig small_cfg() {
   return cfg;
 }
 
+// The pipeline, not its caller, applies EvalConfig::m2l_mode to the kernel
+// it borrows.
+TEST(EvalPipeline, AppliesConfiguredM2LMode) {
+  const Problem p = make_problem(500, 29);
+  EvalConfig cfg = small_cfg();
+  cfg.m2l_mode = M2LMode::kNaive;
+  auto kernel = make_kernel("laplace");
+  ASSERT_EQ(kernel->m2l_mode(), M2LMode::kRotation);
+  EvalPipeline pipe(*kernel, cfg, p.sources, p.targets);
+  EXPECT_EQ(kernel->m2l_mode(), M2LMode::kNaive);
+}
+
 TEST(EvalPipeline, ResidentReuseIsAllocationFreeAndExact) {
   const Problem p = make_problem(3000, 21);
   const EvalConfig cfg = small_cfg();

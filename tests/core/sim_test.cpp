@@ -4,6 +4,7 @@
 
 #include "core/cost_model.hpp"
 #include "core/evaluator.hpp"
+#include "core/pipeline.hpp"
 #include "geom/distributions.hpp"
 
 namespace amtfmm {
@@ -30,13 +31,49 @@ TEST(SimRealConsistency, SameOperatorEventCounts) {
   sim.localities = 2;
   sim.cores_per_locality = 2;
   sim.cost = CostModel::paper("laplace");
-  sim.trace = true;
-  const SimResult simulated = eval.simulate(src, tgt, sim);
+  const EvalResult simulated = eval.simulate(src, tgt, sim);
 
   std::map<int, std::size_t> real_counts, sim_counts;
   for (const auto& e : real.trace) real_counts[e.cls]++;
   for (const auto& e : simulated.trace) sim_counts[e.cls]++;
   EXPECT_EQ(real_counts, sim_counts);
+}
+
+// A cost-only pipeline over a caller-built simulator runs the same epoch
+// as Evaluator::simulate: same virtual time, bytes, parcels, batches and
+// trace.
+TEST(SimRealConsistency, BorrowedSimulatorMatchesSimulate) {
+  Rng rng(12);
+  const std::size_t n = 6000;
+  const auto src = generate_points(Distribution::kCube, n, rng);
+  const auto tgt = generate_points(Distribution::kCube, n, rng);
+  EvalConfig cfg;
+  cfg.threshold = 40;
+  cfg.coalesce.enabled = true;
+  cfg.trace = true;
+  SimConfig sim;
+  sim.localities = 3;
+  sim.cores_per_locality = 4;
+  sim.cost = CostModel::paper("laplace");
+
+  auto kernel = make_kernel("laplace");
+  SimExecutor ex(sim.localities, sim.cores_per_locality, sim.policy,
+                 sim.network, cfg.seed, cfg.coalesce);
+  EvalPipeline pipe(*kernel, cfg, src, tgt, ex, sim.cost);
+  const EvalResult own = pipe.evaluate({});
+  EXPECT_GT(own.makespan, 0.0);
+  EXPECT_TRUE(own.potentials.empty());
+  EXPECT_GT(own.bytes_sent, 0u);
+  EXPECT_EQ(own.wire_bytes, own.bytes_sent);
+  EXPECT_FALSE(own.trace.empty());
+
+  Evaluator eval(make_kernel("laplace"), cfg);
+  const EvalResult ref = eval.simulate(src, tgt, sim);
+  EXPECT_EQ(own.makespan, ref.makespan);
+  EXPECT_EQ(own.bytes_sent, ref.bytes_sent);
+  EXPECT_EQ(own.parcels_sent, ref.parcels_sent);
+  EXPECT_EQ(own.comm.batches, ref.comm.batches);
+  EXPECT_EQ(own.trace.size(), ref.trace.size());
 }
 
 TEST(SimRealConsistency, SimIsDeterministic) {
@@ -49,8 +86,8 @@ TEST(SimRealConsistency, SimIsDeterministic) {
   SimConfig sim;
   sim.localities = 4;
   sim.cost = CostModel::paper("laplace");
-  const double a = eval.simulate(src, tgt, sim).virtual_time;
-  const double b = eval.simulate(src, tgt, sim).virtual_time;
+  const double a = eval.simulate(src, tgt, sim).makespan;
+  const double b = eval.simulate(src, tgt, sim).makespan;
   EXPECT_DOUBLE_EQ(a, b);
 }
 
@@ -62,21 +99,20 @@ TEST(SimRealConsistency, UtilizationIntegralEqualsTotalWork) {
   const auto src = generate_points(Distribution::kCube, n, rng);
   const auto tgt = generate_points(Distribution::kCube, n, rng);
   EvalConfig cfg;
+  cfg.trace = true;
   Evaluator eval(make_kernel("counting"), cfg);
   SimConfig sim;
   sim.localities = 2;
   sim.cores_per_locality = 8;
   sim.cost = CostModel::paper("laplace");
-  sim.trace = true;
-  const SimResult r = eval.simulate(src, tgt, sim);
+  const EvalResult r = eval.simulate(src, tgt, sim);
   double busy = 0;
   for (const auto& e : r.trace) busy += e.t1 - e.t0;
   const int m = 50;
-  const auto prof = utilization(r.trace, 0.0, r.virtual_time, m, r.total_cores);
+  const int cores = sim.localities * sim.cores_per_locality;
+  const auto prof = utilization(r.trace, 0.0, r.makespan, m, cores);
   double integral = 0;
-  for (double f : prof.total) {
-    integral += f * r.total_cores * (r.virtual_time / m);
-  }
+  for (double f : prof.total) integral += f * cores * (r.makespan / m);
   EXPECT_NEAR(integral, busy, 1e-6 * busy);
   // And utilization never exceeds 1 (cores cannot be more than busy).
   for (double f : prof.total) EXPECT_LE(f, 1.0 + 1e-9);
@@ -88,14 +124,14 @@ TEST(SimPriority, PriorityNeverHurtsAtHighCoreCounts) {
   const auto src = generate_points(Distribution::kCube, n, rng);
   const auto tgt = generate_points(Distribution::kCube, n, rng);
   EvalConfig cfg;
-  Evaluator eval(make_kernel("counting"), cfg);
+  Evaluator plain_eval(make_kernel("counting"), cfg);
+  cfg.split_priority = true;
+  Evaluator prio_eval(make_kernel("counting"), cfg);
   SimConfig sim;
   sim.localities = 16;  // 512 cores: the starved regime
   sim.cost = CostModel::paper("laplace");
-  sim.split_priority = false;
-  const double plain = eval.simulate(src, tgt, sim).virtual_time;
-  sim.split_priority = true;
-  const double prio = eval.simulate(src, tgt, sim).virtual_time;
+  const double plain = plain_eval.simulate(src, tgt, sim).makespan;
+  const double prio = prio_eval.simulate(src, tgt, sim).makespan;
   EXPECT_LE(prio, plain * 1.05)
       << "priorities must not significantly hurt the makespan";
 }

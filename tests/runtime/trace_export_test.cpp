@@ -201,23 +201,24 @@ TEST(TraceExport, SimulatedRunEndToEnd) {
   Rng rs(7), rt(8);
   const auto sources = generate_points(Distribution::kCube, 3000, rs);
   const auto targets = generate_points(Distribution::kCube, 3000, rt);
-  Evaluator eval(make_kernel("laplace"), {});
+  EvalConfig cfg;
+  cfg.coalesce.enabled = true;
+  cfg.trace = true;
+  cfg.counters = true;
+  Evaluator eval(make_kernel("laplace"), cfg);
 
   SimConfig sim;
   sim.localities = 2;
   sim.cores_per_locality = 4;
   sim.cost = CostModel::paper("laplace");
-  sim.coalesce.enabled = true;
-  sim.trace = true;
-  sim.counters = true;
-  const SimResult r = eval.simulate(sources, targets, sim);
+  const EvalResult r = eval.simulate(sources, targets, sim);
   ASSERT_FALSE(r.trace.empty());
   ASSERT_FALSE(r.dag_edges.empty());
   ASSERT_FALSE(r.counters.empty());
 
   ChromeTraceOptions opt;
   opt.cores_per_locality = sim.cores_per_locality;
-  opt.makespan = r.virtual_time;
+  opt.makespan = r.makespan;
   opt.sim = true;
   opt.dag_edges = r.dag_edges;
   opt.counters = &r.counters;
@@ -228,7 +229,7 @@ TEST(TraceExport, SimulatedRunEndToEnd) {
   const TraceReport rep = analyze_trace_file(path);
   ASSERT_TRUE(rep.valid) << rep.error;
   EXPECT_TRUE(rep.sim);
-  EXPECT_EQ(rep.workers, r.total_cores);
+  EXPECT_EQ(rep.workers, sim.localities * sim.cores_per_locality);
   EXPECT_EQ(rep.num_spans, r.trace.size());
   EXPECT_EQ(rep.num_instants, r.instants.size());
   EXPECT_EQ(rep.num_comm, r.comm_trace.size());

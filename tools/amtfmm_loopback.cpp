@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "core/evaluator.hpp"
+#include "core/pipeline.hpp"
 #include "geom/distributions.hpp"
 #include "runtime/net/net_executor.hpp"
 #include "runtime/trace_export.hpp"
@@ -139,17 +140,22 @@ int run(int argc, char** argv) {
         });
   }
 
-  Evaluator eval(make_kernel(cli.str("kernel")), cfg);
-  EvalResult res = eval.evaluate_distributed(ex, sources, charges, targets);
+  // One SPMD rank: every rank builds the identical one-shot pipeline on
+  // the shared mesh, and its potentials are this rank's partial sums.
+  const auto kernel = make_kernel(cli.str("kernel"));
+  auto evaluate_once = [&] {
+    return EvalPipeline(*kernel, cfg, sources, targets, ex).evaluate(charges);
+  };
+  EvalResult res = evaluate_once();
 
-  // Repeat evaluations on the same connections: every round re-runs the
-  // termination protocol from a re-armed state, and the per-epoch stats
-  // must be identical round to round — a stale probe or a cumulative
-  // (sent, recvd) cut leaking across epochs shows up here as a hang, a
-  // wire-byte drift, or a broken transport identity.
+  // Repeat evaluations on the same connections, each on a fresh pipeline:
+  // every round re-runs the termination protocol from a re-armed state,
+  // and the per-epoch stats must be identical round to round — a stale
+  // probe or a cumulative (sent, recvd) cut leaking across epochs shows up
+  // here as a hang, a wire-byte drift, or a broken transport identity.
   const auto repeat = static_cast<int>(cli.i64("repeat"));
   for (int rep = 1; rep < repeat; ++rep) {
-    EvalResult again = eval.evaluate_distributed(ex, sources, charges, targets);
+    EvalResult again = evaluate_once();
     if (again.wire_bytes != res.wire_bytes ||
         again.wire_bytes != again.bytes_sent) {
       std::fprintf(stderr,
@@ -249,8 +255,7 @@ int run(int argc, char** argv) {
   SimConfig scfg;
   scfg.localities = static_cast<int>(world);
   scfg.cores_per_locality = cores;
-  scfg.coalesce = cfg.coalesce;
-  const SimResult sim = ref_eval.simulate(sources, targets, scfg);
+  const EvalResult sim = ref_eval.simulate(sources, targets, scfg);
 
   double max_rel = 0.0;
   for (std::size_t i = 0; i < global.size(); ++i) {

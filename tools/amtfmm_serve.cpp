@@ -12,9 +12,9 @@
 //   2. epoch-2 setup cost (arena re-arm) is a small fraction of the
 //      epoch-1 build (reported as reset_ratio; gated by
 //      scripts/check_bench_serve.py at 5%);
-//   3. repeat evaluations agree with epoch 1 at 1e-12 relative, and (in
-//      process) with a fresh one-shot Evaluator AND the DES simulation's
-//      wire bytes exactly;
+//   3. repeat evaluations agree with epoch 1 at 1e-12 relative and with a
+//      fresh one-shot pipeline; in process, the fresh run's and the DES
+//      simulation's wire bytes match the resident epoch's exactly;
 //   4. request batching demuxes correctly: every per-request slice of a
 //      batched epoch matches the combined potentials.
 //
@@ -128,7 +128,6 @@ int run(int argc, char** argv) {
   cfg.counters = true;
 
   auto kernel = make_kernel(cli.str("kernel"));
-  kernel->set_m2l_mode(cfg.m2l_mode);
 
   std::unique_ptr<net::NetExecutor> nex;
   std::unique_ptr<EvalPipeline> pipeline;
@@ -296,19 +295,20 @@ int run(int argc, char** argv) {
   // problem must match the multi-epoch resident answer at 1e-12 — and in
   // process, the DES simulation's wire bytes must match exactly.
   double fresh_rel = 0.0;
-  Evaluator fresh_eval(make_kernel(cli.str("kernel")), cfg);
   if (net_mode) {
+    const auto fresh_kernel = make_kernel(cli.str("kernel"));
     const EvalResult fresh =
-        fresh_eval.evaluate_distributed(*nex, sources, charges, targets);
+        EvalPipeline(*fresh_kernel, cfg, sources, targets, *nex)
+            .evaluate(charges);
     fresh_rel = max_rel_err(first.potentials, fresh.potentials);
   } else {
+    Evaluator fresh_eval(make_kernel(cli.str("kernel")), cfg);
     const EvalResult fresh = fresh_eval.evaluate(sources, charges, targets);
     fresh_rel = max_rel_err(first.potentials, fresh.potentials);
     SimConfig scfg;
     scfg.localities = cfg.localities;
     scfg.cores_per_locality = cfg.cores_per_locality;
-    scfg.coalesce = cfg.coalesce;
-    const SimResult sim = fresh_eval.simulate(sources, targets, scfg);
+    const EvalResult sim = fresh_eval.simulate(sources, targets, scfg);
     if (fresh.wire_bytes != wire || sim.wire_bytes != wire) {
       std::fprintf(stderr,
                    "SERVE FAIL: wire bytes disagree: resident %" PRIu64
