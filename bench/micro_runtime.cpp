@@ -19,8 +19,9 @@
 #include <vector>
 
 #include "common.hpp"
-#include "core/expansion_lco.hpp"
+#include "core/engine.hpp"
 #include "kernels/kernel.hpp"
+#include "runtime/lco.hpp"
 #include "runtime/net/transport.hpp"
 #include "runtime/sim_executor.hpp"
 #include "runtime/thread_executor.hpp"
@@ -94,8 +95,8 @@ void BM_SimEventRate(benchmark::State& state) {
 }
 BENCHMARK(BM_SimEventRate)->Arg(10000)->Arg(100000);
 
-/// Coefficient-accumulating LCO with the ExpansionLCO reduction shape:
-/// parses WireRecord kMain messages and adds into a vector under the lock.
+/// Coefficient-accumulating LCO with the engine's reduction shape: parses
+/// WireRecord kMain messages and adds into a vector under the lock.
 class CoeffSinkLCO final : public LCO {
  public:
   CoeffSinkLCO(Executor& ex, int inputs) : LCO(ex, inputs) {}

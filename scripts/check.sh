@@ -9,7 +9,7 @@
 #      and the amtfmm_lint AST analyzer over the compilation database,
 #   3. rtcheck model-checker sweep (exhaustive DFS + seeded mutations + PCT),
 #   4. Debug build of the multi-locality parity / LCO-semantics tests
-#      (assertions and the GAS/ownership debug checks enabled),
+#      (assertions, the ownership and payload-release debug checks enabled),
 #   5. ThreadSanitizer build of the concurrency-sensitive targets,
 #      including the socket executor: net_executor_test, a 2-rank
 #      loopback (coalescing on and off) and a 2-rank resident serve,
@@ -77,31 +77,31 @@ echo "== rtcheck: exhaustive DFS sweep =="
 ./build/tools/rtcheck --mode dfs
 echo "== rtcheck: seeded-mutation detection =="
 for m in steal-bottom-relaxed lco-set-input-no-lock \
-         coalescer-count-after-insert gas-resolve-relaxed \
+         coalescer-count-after-insert arena-input-no-lock \
          counters-count-early; do
   ./build/tools/rtcheck --mutation "$m"
 done
 echo "== rtcheck: randomized (PCT) quick pass =="
 ./build/tools/rtcheck --mode pct --executions 64 --seed 1
 
-echo "== Debug build (multi-locality parity, LCO semantics, GAS checks) =="
+echo "== Debug build (multi-locality parity, LCO semantics, payload release) =="
 cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug >/dev/null
 cmake --build build-debug -j"$JOBS" --target \
-  expansion_lco_test gas_test evaluator_test sim_test
+  expansion_lco_test lco_arena_test evaluator_test sim_test pipeline_test
 ctest --test-dir build-debug --output-on-failure -j"$JOBS" \
-  -R 'MultiLocality|ExpansionLco|GasTest|GasDeathTest'
+  -R 'MultiLocality|ExpansionLco|LcoArena|EvalPipeline'
 
 echo "== ThreadSanitizer build (runtime stress tests) =="
 cmake -B build-tsan -S . -DAMTFMM_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$JOBS" --target \
-  ws_deque_test executor_test coalescer_test trace_test gas_test \
+  ws_deque_test executor_test coalescer_test trace_test lco_arena_test \
   counters_test net_frame_test net_transport_test net_executor_test \
   amtfmm_launch amtfmm_loopback amtfmm_serve
 ./build-tsan/tests/runtime/ws_deque_test
 ./build-tsan/tests/runtime/executor_test
 ./build-tsan/tests/runtime/coalescer_test
 ./build-tsan/tests/runtime/trace_test
-./build-tsan/tests/runtime/gas_test
+./build-tsan/tests/runtime/lco_arena_test
 ./build-tsan/tests/runtime/counters_test
 ./build-tsan/tests/runtime/net_frame_test
 ./build-tsan/tests/runtime/net_transport_test

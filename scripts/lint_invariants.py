@@ -26,8 +26,8 @@ Machine-checkable rules the code review relies on:
   3. payload-raw-pointers: parcel payload structs (serialized with memcpy
      and shipped between localities) must not contain raw pointers —
      addresses are meaningless on the wire.  Checked structurally for the
-     known wire structs: WireRecord, ExpansionPayload, ParcelHeader,
-     SectionHeader, ContribHeader.
+     known wire structs: WireRecord, ParcelHeader, SectionHeader,
+     ContribHeader.
 
   4. seeded-randomness: no rand()/srand()/std::random_device in src/ —
      every stochastic component (PCT exploration, benchmark point clouds)
@@ -128,7 +128,6 @@ WALLCLOCK_FILES = (
 )
 PAYLOAD_STRUCTS = (
     "WireRecord",
-    "ExpansionPayload",
     "ParcelHeader",
     "SectionHeader",
     "ContribHeader",

@@ -41,6 +41,9 @@ struct DagEdge {
   std::uint32_t bytes;      ///< wire bytes transferred along the edge
   float cost_metric;        ///< work units for the cost model
 };
+// A one-byte Operator packs the edge into 16 bytes: at millions of edges
+// per DAG the edge array is the largest resident structure after the tree.
+static_assert(sizeof(DagEdge) == 16);
 
 /// Method selection for DAG construction.
 enum class Method {

@@ -1,6 +1,7 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstring>
 #include <utility>
@@ -44,18 +45,53 @@ static_assert(sizeof(ContribHeader) == 8);
 
 constexpr std::size_t kBytesPerPoint = 32;  // x, y, z, q doubles
 
-const CoeffVec kEmptyCoeffs;
-
-const CoeffVec& view(const CoeffVec* p) { return p ? *p : kEmptyCoeffs; }
-
 /// Zero-pads `v` to exactly `want` coefficients (staging through `stage`
-/// when the stored vector is shorter, e.g. a never-accumulated direction).
-const CoeffVec& sized(const CoeffVec& v, std::size_t want, CoeffVec& stage) {
+/// when the stored segment is shorter, e.g. a never-accumulated direction).
+CoeffSpan sized(CoeffSpan v, std::size_t want, CoeffVec& stage) {
   if (v.size() == want) return v;
   AMTFMM_ASSERT(v.size() < want);
-  stage = v;
+  stage.assign(v.begin(), v.end());
   stage.resize(want, cdouble{});
   return stage;
+}
+
+// Payload segments (bit positions in a node's segment masks).
+constexpr int kSegMain = 0;  ///< M or L coefficients
+constexpr int kSegPhi = 1;   ///< T potentials (doubles)
+constexpr int kSegOwn = 2;   ///< + direction: Is/It own X
+constexpr int kSegFwd = 8;   ///< + direction: It forward X
+
+/// Segments an edge's contribution writes at its target.
+std::uint16_t segments_written(const DagEdge& e) {
+  switch (e.op) {
+    case Operator::kS2M:
+    case Operator::kM2M:
+    case Operator::kM2L:
+    case Operator::kS2L:
+    case Operator::kL2L:
+    case Operator::kI2L:
+      return 1u << kSegMain;
+    case Operator::kS2T:
+    case Operator::kM2T:
+    case Operator::kL2T:
+      return 1u << kSegPhi;
+    case Operator::kM2I:
+      return 0x3fu << kSegOwn;  // every direction
+    case Operator::kI2I:
+      return static_cast<std::uint16_t>(
+          1u << ((e.slot == 1 ? kSegFwd : kSegOwn) + e.dir));
+  }
+  return 0;
+}
+
+/// Accumulates `count` elements at `ptr` into `dst`.  Message buffers are
+/// built with every payload at an 8-byte-aligned offset (see WireRecord),
+/// so the reinterpret_cast is well defined.
+template <typename T>
+void accumulate(T* dst, const std::byte* ptr, std::uint32_t count) {
+  AMTFMM_ASSERT(reinterpret_cast<std::uintptr_t>(ptr) % alignof(T) == 0);
+  const T* in = reinterpret_cast<const T*>(ptr);
+  for (std::uint32_t i = 0; i < count; ++i) dst[i] += in[i];
 }
 
 bool is_high(Operator op) {
@@ -64,6 +100,12 @@ bool is_high(Operator op) {
 
 }  // namespace
 
+std::span<const std::byte> dep_record() {
+  static const WireRecord kDep{0, static_cast<std::uint8_t>(PayloadSlot::kNone),
+                               0, 0, 0};
+  return std::as_bytes(std::span<const WireRecord>(&kDep, 1));
+}
+
 DagEngine::DagEngine(const Dag& dag, const DualTree& dt, const Kernel& kernel,
                      Executor& ex, EngineOptions opt)
     : dag_(dag),
@@ -71,7 +113,7 @@ DagEngine::DagEngine(const Dag& dag, const DualTree& dt, const Kernel& kernel,
       kernel_(kernel),
       ex_(ex),
       opt_(std::move(opt)),
-      gas_(ex.num_localities()) {}
+      arena_(ex, dag.nodes.size()) {}
 
 DagEngine::~DagEngine() {
   if (handlers_registered_) {
@@ -104,11 +146,12 @@ double DagEngine::execute(std::span<const double> charges,
         [this](const std::vector<std::byte>& b) { process_contribution(b); });
     handlers_registered_ = true;
   }
-  const std::uint64_t allocs_before = gas_.total_allocs();
+  gas_allocs_epoch_ = 0;
   if (!instantiated_) {
     instantiate();
     instantiated_ = true;
     last_reset_seconds_ = 0.0;
+    gas_allocs_epoch_ = dag_.nodes.size();
   } else {
     const auto r0 = std::chrono::steady_clock::now();
     reset_for_epoch();
@@ -118,11 +161,12 @@ double DagEngine::execute(std::span<const double> charges,
   }
   auto& ctr = ex_.counters();
   if (ctr.enabled()) {
-    // GAS slab occupancy high-water: every node's LCO is resident for the
-    // whole run, so the peak is the post-instantiate per-locality count.
+    // Node-count high-water per locality: every node's countdown is
+    // resident for the whole run.
     const auto& ids = ex_.runtime().ids();
     for (int l = 0; l < ex_.num_localities(); ++l) {
-      ctr.gauge_max(0, ids.gas_objects_hw, gas_.objects_on(l));
+      ctr.gauge_max(0, ids.gas_objects_hw,
+                    objects_on(static_cast<std::uint32_t>(l)));
     }
     ctr.add(0, ids.serve_epochs);
     if (instantiated_ && epoch_ > 0) {
@@ -135,14 +179,15 @@ double DagEngine::execute(std::span<const double> charges,
     // every rank (the termination protocol agrees on the all-zero counter
     // cut), so no peer can have seeded — and therefore no eval parcel can
     // arrive — until every rank has finished instantiate() and registered
-    // its handlers.  Without it a fast peer's parcels race the addr_/GAS
-    // fill above.  On later epochs the same barrier keeps any rank from
-    // seeding until every rank has re-armed its resident arena, so no
-    // cross-epoch parcel can reach an un-reset LCO.  No-op on in-process
+    // its handlers.  Without it a fast peer's parcels race the per-node
+    // arrays' fill above.  On later epochs the same barrier keeps any rank
+    // from seeding until every rank has re-armed its resident arena, so no
+    // cross-epoch parcel can reach an un-reset node.  No-op on in-process
     // executors (nothing is in flight).
     ex_.drain();
   }
   const double t0 = ex_.now();
+  drained_ = false;
   if (ex_.single_threaded()) {
     // The sim runs every task on this thread: seeding here, in node order,
     // keeps its event order (and virtual times) as they were.
@@ -158,7 +203,14 @@ double DagEngine::execute(std::span<const double> charges,
     }
   }
   ex_.drain();
-  gas_allocs_epoch_ = gas_.total_allocs() - allocs_before;
+  drained_ = true;
+#ifndef NDEBUG
+  // Release check: every node's last consumer (or its fire, or
+  // finalize_target) freed its payload.
+  for (const auto& seg : seg_data_) {
+    AMTFMM_ASSERT_MSG(!seg, "payload segment still live after the drain");
+  }
+#endif
   ++epoch_;
   const double makespan = ex_.now() - t0;
   if (ctr.enabled()) {
@@ -171,21 +223,43 @@ double DagEngine::execute(std::span<const double> charges,
 }
 
 void DagEngine::reset_for_epoch() {
+  arena_.rearm(in_degree_);
+  std::fill(written_.begin(), written_.end(), std::uint16_t{0});
   for (NodeIndex ni = 0; ni < dag_.nodes.size(); ++ni) {
-    lco(ni)->reset(static_cast<int>(dag_.nodes[ni].in_degree));
+    // relaxed-ok: quiescent between drains; spawn publishes the reset.
+    consumers_[ni].store(0, std::memory_order_relaxed);
+  }
+  // A drained epoch freed every payload; one that aborted mid-way (a dead
+  // socket mesh) may not have, and a stale segment must not take inputs.
+  if (!drained_) {
+    for (auto& seg : seg_data_) seg.reset();
   }
 }
 
 void DagEngine::instantiate() {
-  gas_.reset();
-  addr_.resize(dag_.nodes.size());
-  for (NodeIndex ni = 0; ni < dag_.nodes.size(); ++ni) {
-    const DagNode& n = dag_.nodes[ni];
-    addr_[ni] = gas_.alloc(
-        n.locality, std::make_unique<ExpansionLCO>(
-                        *this, ex_, ni, n.locality,
-                        static_cast<int>(n.in_degree)));
+  const std::size_t n = dag_.nodes.size();
+  in_degree_.resize(n);
+  seg_in_.assign(n, 0);
+  nodes_on_.assign(static_cast<std::size_t>(ex_.num_localities()), 0);
+  for (NodeIndex ni = 0; ni < n; ++ni) {
+    const DagNode& node = dag_.nodes[ni];
+    in_degree_[ni] = node.in_degree;
+    ++nodes_on_[node.locality];
+    for (std::uint32_t e = node.first_edge;
+         e < node.first_edge + node.num_edges; ++e) {
+      seg_in_[dag_.edges[e].target] |= segments_written(dag_.edges[e]);
+    }
   }
+  seg_first_.resize(n);
+  std::uint32_t slots = 0;
+  for (NodeIndex ni = 0; ni < n; ++ni) {
+    seg_first_[ni] = slots;
+    slots += static_cast<std::uint32_t>(std::popcount(seg_in_[ni]));
+  }
+  seg_data_.resize(slots);
+  written_.assign(n, 0);
+  consumers_ = std::make_unique<std::atomic<int>[]>(n);
+  arena_.rearm(in_degree_);
 }
 
 void DagEngine::spawn_seeds(std::uint32_t loc, NodeIndex from) {
@@ -222,6 +296,113 @@ void DagEngine::seed(NodeIndex ni) {
   }
 }
 
+void DagEngine::input(NodeIndex ni, std::span<const std::byte> msg) {
+  if (arena_.input(ni, [&] { reduce(ni, msg); })) on_node_triggered(ni);
+}
+
+void DagEngine::reduce(NodeIndex ni, std::span<const std::byte> msg) {
+#ifndef NDEBUG
+  check_home(ni);
+#endif
+  std::size_t off = 0;
+  while (off < msg.size()) {
+    WireRecord h;
+    AMTFMM_ASSERT(off + sizeof(h) <= msg.size());
+    std::memcpy(&h, msg.data() + off, sizeof(h));
+    off += sizeof(h);
+    const std::byte* ptr = msg.data() + off;
+    int seg = kSegMain;
+    switch (static_cast<PayloadSlot>(h.slot)) {
+      case PayloadSlot::kNone:
+        continue;
+      case PayloadSlot::kMain:
+        break;
+      case PayloadSlot::kPhi:
+        seg = kSegPhi;
+        break;
+      case PayloadSlot::kOwn:
+      case PayloadSlot::kFwd:
+        AMTFMM_ASSERT(h.dir < 6);
+        seg = (h.slot == static_cast<std::uint8_t>(PayloadSlot::kOwn)
+                   ? kSegOwn
+                   : kSegFwd) +
+              h.dir;
+        break;
+      case PayloadSlot::kPoints:
+        AMTFMM_ASSERT_MSG(false, "kPoints is a parcel section, not an input");
+        break;
+    }
+    const std::size_t elem =
+        seg == kSegPhi ? sizeof(double) : sizeof(cdouble);
+    AMTFMM_ASSERT_MSG(off + h.count * elem <= msg.size(),
+                      "malformed input message");
+    off += h.count * elem;
+    AMTFMM_ASSERT_MSG((seg_in_[ni] >> seg) & 1u,
+                      "input to a segment no in-edge writes");
+    const std::size_t len = segment_len(ni, seg);
+    AMTFMM_ASSERT_MSG(h.count == len, "input segment length mismatch");
+    auto& data = seg_data_[segment_slot(ni, seg)];
+    if (!((written_[ni] >> seg) & 1u)) {
+      // First record of this segment: zeroed storage, two potentials to a
+      // cdouble for kSegPhi.
+      data = std::make_unique<cdouble[]>(seg == kSegPhi ? (len + 1) / 2 : len);
+      written_[ni] = static_cast<std::uint16_t>(written_[ni] | (1u << seg));
+    }
+    if (seg == kSegPhi) {
+      // A cdouble is two doubles ([complex.numbers]).
+      accumulate(reinterpret_cast<double*>(data.get()), ptr, h.count);
+    } else {
+      accumulate(data.get(), ptr, h.count);
+    }
+  }
+}
+
+std::size_t DagEngine::segment_len(NodeIndex ni, int seg) const {
+  const DagNode& n = dag_.nodes[ni];
+  if (seg == kSegMain) {
+    return n.kind == NodeKind::kM ? kernel_.m_count(n.level)
+                                  : kernel_.l_count(n.level);
+  }
+  if (seg == kSegPhi) return dt_.target.box(n.box).count;
+  // own[d] at the node's level; fwd[d] (It only) at the child quadrature
+  // level.
+  return kernel_.x_count(n.level + (seg >= kSegFwd ? 1 : 0));
+}
+
+std::size_t DagEngine::segment_slot(NodeIndex ni, int seg) const {
+  const unsigned below = seg_in_[ni] & ((1u << seg) - 1u);
+  return seg_first_[ni] + static_cast<std::size_t>(std::popcount(below));
+}
+
+CoeffSpan DagEngine::segment_view(NodeIndex ni, int seg) const {
+  if (!((written_[ni] >> seg) & 1u)) return {};
+  return {seg_data_[segment_slot(ni, seg)].get(), segment_len(ni, seg)};
+}
+
+void DagEngine::retain(NodeIndex ni, int n) {
+  // relaxed-ok: retains precede the consumer spawns (spawn publishes);
+  // the final release (acq_rel below) orders the free against readers.
+  consumers_[ni].fetch_add(n, std::memory_order_relaxed);
+}
+
+void DagEngine::release(NodeIndex ni) {
+  if (consumers_[ni].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    free_payload(ni);
+  }
+}
+
+void DagEngine::free_payload(NodeIndex ni) {
+  const std::size_t first = seg_first_[ni];
+  const auto count = static_cast<std::size_t>(std::popcount(seg_in_[ni]));
+  for (std::size_t k = first; k < first + count; ++k) seg_data_[k].reset();
+}
+
+void DagEngine::check_home(NodeIndex ni) const {
+  const int loc = ex_.current_locality();
+  AMTFMM_ASSERT_MSG(loc < 0 || loc == static_cast<int>(dag_.nodes[ni].locality),
+                    "expansion payload touched off its home locality");
+}
+
 void DagEngine::on_node_triggered(NodeIndex ni) {
   if (dag_.nodes[ni].kind == NodeKind::kT) {
     finalize_target(ni);
@@ -230,7 +411,7 @@ void DagEngine::on_node_triggered(NodeIndex ni) {
   spawn_edge_tasks(ni);
 }
 
-DagEngine::SourceView DagEngine::local_view(NodeIndex ni) {
+DagEngine::SourceView DagEngine::local_view(NodeIndex ni) const {
   const DagNode& n = dag_.nodes[ni];
   SourceView v;
   if (n.kind == NodeKind::kS) {
@@ -238,20 +419,26 @@ DagEngine::SourceView DagEngine::local_view(NodeIndex ni) {
     v.pts = std::span<const Vec3>(dt_.source.sorted_points())
                 .subspan(box.first, box.count);
     v.q = charges_.subspan(box.first, box.count);
-  } else {
-    ExpansionPayload& p = lco(ni)->payload();
-    v.main = &p.main;
-    for (std::size_t d = 0; d < 6; ++d) {
-      v.own[d] = &p.own[d];
-      v.fwd[d] = &p.fwd[d];
-    }
+    return v;
+  }
+#ifndef NDEBUG
+  check_home(ni);
+#endif
+  v.main = segment_view(ni, kSegMain);
+  for (int d = 0; d < 6; ++d) {
+    v.own[static_cast<std::size_t>(d)] = segment_view(ni, kSegOwn + d);
+    v.fwd[static_cast<std::size_t>(d)] = segment_view(ni, kSegFwd + d);
   }
   return v;
 }
 
 void DagEngine::spawn_edge_tasks(NodeIndex ni) {
   const DagNode& n = dag_.nodes[ni];
-  if (n.num_edges == 0) return;
+  if (n.num_edges == 0) {
+    // No consumer: the payload is dead at fire.
+    free_payload(ni);
+    return;
+  }
   const bool compute = !opt_.cost;
 
   // Bucket out edges: local ones (possibly split by priority), one eval
@@ -307,7 +494,7 @@ void DagEngine::spawn_edge_tasks(NodeIndex ni) {
       t.items = cost_items(ids);
       t.fn = [this, ids = std::move(ids)] {
         for (const std::uint32_t e : ids) {
-          lco(dag_.edges[e].target)->set_input(dep_record());
+          input(dag_.edges[e].target, dep_record());
         }
       };
     }
@@ -347,7 +534,7 @@ void DagEngine::spawn_edge_tasks(NodeIndex ni) {
     const int consumers = static_cast<int>(!local_high.empty()) +
                           static_cast<int>(!local_low.empty()) +
                           static_cast<int>(contrib.size());
-    lco(ni)->retain_payload(consumers + 1);
+    retain(ni, consumers + 1);
   }
 
   if (!local_high.empty()) {
@@ -374,9 +561,7 @@ void DagEngine::spawn_edge_tasks(NodeIndex ni) {
       Task t;
       t.locality = tloc;
       t.items = cost_items(std::span<const std::uint32_t>(&e, 1));
-      t.fn = [this, target = edge.target] {
-        lco(target)->set_input(dep_record());
-      };
+      t.fn = [this, target = edge.target] { input(target, dep_record()); };
       ex_.send(n.locality, tloc, bytes, std::move(t));
     }
   }
@@ -398,14 +583,14 @@ void DagEngine::spawn_edge_tasks(NodeIndex ni) {
       t.items = cost_items(p.ids);
       t.fn = [this, ids = std::move(p.ids)] {
         for (const std::uint32_t e : ids) {
-          lco(dag_.edges[e].target)->set_input(dep_record());
+          input(dag_.edges[e].target, dep_record());
         }
       };
     }
     ex_.send(n.locality, p.loc, p.bytes, std::move(t));
   }
 
-  if (has_payload) lco(ni)->release_payload();
+  if (has_payload) release(ni);
 }
 
 simd::P2PBatch DagEngine::P2PScratch::batch(std::span<const Vec3> src_pts,
@@ -469,9 +654,9 @@ void DagEngine::process_local(NodeIndex ni,
       msg->clear();
       apply_edge(ni, edge, src, p2p, *msg);
     }
-    lco(edge.target)->set_input({msg->data(), msg->size()});
+    input(edge.target, {msg->data(), msg->size()});
   }
-  if (n.kind != NodeKind::kS) lco(ni)->release_payload();
+  if (n.kind != NodeKind::kS) release(ni);
 }
 
 void DagEngine::apply_edge(NodeIndex from, const DagEdge& e,
@@ -514,14 +699,14 @@ void DagEngine::apply_edge(NodeIndex from, const DagEdge& e,
     }
     case Operator::kM2M: {
       coeffs->assign(kernel_.m_count(tbox.level), cdouble{});
-      kernel_.m2m_acc(view(src.main), fbox.cube.center(), tbox.cube.center(),
+      kernel_.m2m_acc(src.main, fbox.cube.center(), tbox.cube.center(),
                       fbox.level, *coeffs);
       append_main();
       break;
     }
     case Operator::kM2L: {
       coeffs->assign(kernel_.l_count(tbox.level), cdouble{});
-      kernel_.m2l_acc(view(src.main), fbox.cube.center(), tbox.cube.center(),
+      kernel_.m2l_acc(src.main, fbox.cube.center(), tbox.cube.center(),
                       tbox.level, *coeffs);
       append_main();
       break;
@@ -537,7 +722,7 @@ void DagEngine::apply_edge(NodeIndex from, const DagEdge& e,
       auto phi = ScratchArena::local().reals();
       phi->assign(tbox.count, 0.0);
       for (std::uint32_t i = 0; i < tbox.count; ++i) {
-        (*phi)[i] += kernel_.m2t(view(src.main), fbox.cube.center(),
+        (*phi)[i] += kernel_.m2t(src.main, fbox.cube.center(),
                                  fbox.level, tgt_pts[i]);
       }
       append_record(msg, e.op, PayloadSlot::kPhi, 0, phi->data(),
@@ -547,7 +732,7 @@ void DagEngine::apply_edge(NodeIndex from, const DagEdge& e,
     }
     case Operator::kL2L: {
       coeffs->assign(kernel_.l_count(tbox.level), cdouble{});
-      kernel_.l2l_acc(view(src.main), fbox.cube.center(), tbox.cube.center(),
+      kernel_.l2l_acc(src.main, fbox.cube.center(), tbox.cube.center(),
                       tbox.level, *coeffs);
       append_main();
       break;
@@ -556,7 +741,7 @@ void DagEngine::apply_edge(NodeIndex from, const DagEdge& e,
       auto phi = ScratchArena::local().reals();
       phi->assign(tbox.count, 0.0);
       for (std::uint32_t i = 0; i < tbox.count; ++i) {
-        (*phi)[i] += kernel_.l2t(view(src.main), fbox.cube.center(),
+        (*phi)[i] += kernel_.l2t(src.main, fbox.cube.center(),
                                  fbox.level, tgt_pts[i]);
       }
       append_record(msg, e.op, PayloadSlot::kPhi, 0, phi->data(),
@@ -577,7 +762,7 @@ void DagEngine::apply_edge(NodeIndex from, const DagEdge& e,
       // One record per direction; still one input (one edge).
       for (std::uint8_t d = 0; d < 6; ++d) {
         coeffs->clear();
-        kernel_.m2i(view(src.main), fbox.level, kAllAxes[d], *coeffs);
+        kernel_.m2i(src.main, fbox.level, kAllAxes[d], *coeffs);
         append_record(msg, e.op, PayloadSlot::kOwn, d, coeffs->data(),
                       coeffs->size() * sizeof(cdouble),
                       static_cast<std::uint32_t>(coeffs->size()));
@@ -589,8 +774,7 @@ void DagEngine::apply_edge(NodeIndex from, const DagEdge& e,
       // a level, shift edges descend one).
       const int qlevel = std::max(fbox.level, tbox.level);
       const auto d = static_cast<std::size_t>(e.dir);
-      const CoeffVec& in = (fn.kind == NodeKind::kIs) ? view(src.own[d])
-                                                      : view(src.fwd[d]);
+      const CoeffSpan in = (fn.kind == NodeKind::kIs) ? src.own[d] : src.fwd[d];
       const Vec3 offset = tbox.cube.center() - fbox.cube.center();
       coeffs->assign(kernel_.x_count(qlevel), cdouble{});
       kernel_.i2i_acc(in, kAllAxes[d], offset, qlevel, *coeffs);
@@ -603,9 +787,8 @@ void DagEngine::apply_edge(NodeIndex from, const DagEdge& e,
     case Operator::kI2L: {
       coeffs->assign(kernel_.l_count(tbox.level), cdouble{});
       for (std::size_t d = 0; d < 6; ++d) {
-        const CoeffVec& in = view(src.own[d]);
-        if (!in.empty()) {
-          kernel_.i2l_acc(in, kAllAxes[d], fbox.level, *coeffs);
+        if (!src.own[d].empty()) {
+          kernel_.i2l_acc(src.own[d], kAllAxes[d], fbox.level, *coeffs);
         }
       }
       append_main();
@@ -696,14 +879,14 @@ std::vector<std::byte> DagEngine::serialize_parcel(
     case NodeKind::kM: {
       std::byte* out = open_section(PayloadSlot::kMain, 0,
                                     kernel_.m_wire_bytes(n.level));
-      kernel_.pack_m(sized(view(src.main), kernel_.m_count(n.level), *stage),
+      kernel_.pack_m(sized(src.main, kernel_.m_count(n.level), *stage),
                      n.level, out);
       break;
     }
     case NodeKind::kL: {
       std::byte* out = open_section(PayloadSlot::kMain, 0,
                                     kernel_.l_wire_bytes(n.level));
-      kernel_.pack_l(sized(view(src.main), kernel_.l_count(n.level), *stage),
+      kernel_.pack_l(sized(src.main, kernel_.l_count(n.level), *stage),
                      n.level, out);
       break;
     }
@@ -717,7 +900,7 @@ std::vector<std::byte> DagEngine::serialize_parcel(
       for (std::uint8_t d = 0; d < 6; ++d) {
         if (!used[d]) continue;
         std::byte* out = open_section(slot, d, kernel_.x_wire_bytes(lvl));
-        kernel_.pack_x(sized(fwd ? view(src.fwd[d]) : view(src.own[d]),
+        kernel_.pack_x(sized(fwd ? src.fwd[d] : src.own[d],
                              kernel_.x_count(lvl), *stage),
                        lvl, out);
       }
@@ -809,10 +992,10 @@ void DagEngine::process_parcel(const std::vector<std::byte>& buf) {
   AMTFMM_ASSERT_MSG(off == buf.size(), "malformed eval parcel");
 
   SourceView src;
-  src.main = &main;
+  src.main = main;
   for (std::size_t d = 0; d < 6; ++d) {
-    src.own[d] = &own[d];
-    src.fwd[d] = &fwd[d];
+    src.own[d] = own[d];
+    src.fwd[d] = fwd[d];
   }
   src.pts = pts;
   src.q = q;
@@ -826,7 +1009,7 @@ void DagEngine::process_parcel(const std::vector<std::byte>& buf) {
       msg->clear();
       apply_edge(h.source, edge, src, p2p, *msg);
     }
-    lco(edge.target)->set_input({msg->data(), msg->size()});
+    input(edge.target, {msg->data(), msg->size()});
   }
 }
 
@@ -847,9 +1030,8 @@ void DagEngine::send_contribution(NodeIndex ni, std::uint32_t edge_id) {
       AMTFMM_ASSERT(e.op == Operator::kI2L);
       const TreeBox& fbox = dt_.target.box(n.box);  // It lives in target tree
       for (std::size_t d = 0; d < 6; ++d) {
-        const CoeffVec& in = view(src.own[d]);
-        if (!in.empty()) {
-          kernel_.i2l_acc(in, kAllAxes[d], fbox.level, *out);
+        if (!src.own[d].empty()) {
+          kernel_.i2l_acc(src.own[d], kAllAxes[d], fbox.level, *out);
         }
       }
     }
@@ -873,7 +1055,7 @@ void DagEngine::send_contribution(NodeIndex ni, std::uint32_t edge_id) {
   t.fn = [this, buf] { process_contribution(*buf); };
   ex_.send(n.locality, tn.locality, bytes, std::move(t));
 
-  if (n.kind != NodeKind::kS) lco(ni)->release_payload();
+  if (n.kind != NodeKind::kS) release(ni);
 }
 
 void DagEngine::process_contribution(const std::vector<std::byte>& buf) {
@@ -893,20 +1075,22 @@ void DagEngine::process_contribution(const std::vector<std::byte>& buf) {
   append_record(*msg, static_cast<Operator>(h.op), PayloadSlot::kMain, 0,
                 full->data(), full->size() * sizeof(cdouble),
                 static_cast<std::uint32_t>(full->size()));
-  lco(h.target)->set_input({msg->data(), msg->size()});
+  input(h.target, {msg->data(), msg->size()});
 }
 
 void DagEngine::finalize_target(NodeIndex ni) {
   if (opt_.cost) return;
-  const DagNode& n = dag_.nodes[ni];
-  const TreeBox& box = dt_.target.box(n.box);
-  ExpansionPayload& p = lco(ni)->payload();
-  if (p.phi.empty()) return;  // no contributions: stays zero
-  AMTFMM_ASSERT(p.phi.size() == box.count);
+  if (!((written_[ni] >> kSegPhi) & 1u)) return;  // no contributions: zero
+#ifndef NDEBUG
+  check_home(ni);
+#endif
+  const TreeBox& box = dt_.target.box(dag_.nodes[ni].box);
+  const auto* phi = reinterpret_cast<const double*>(
+      seg_data_[segment_slot(ni, kSegPhi)].get());
   for (std::uint32_t i = 0; i < box.count; ++i) {
-    potentials_[box.first + i] = p.phi[i];
+    potentials_[box.first + i] = phi[i];
   }
-  p.release();
+  free_payload(ni);
 }
 
 }  // namespace amtfmm

@@ -99,7 +99,7 @@ class Evaluator {
   /// charges, so the tree/lists/DAG setup is built once and amortized.
   /// prepare() stands up a resident EvalPipeline for the ensembles;
   /// pipeline()->evaluate(charges) then runs one epoch per call, re-arming
-  /// the same GAS/LCO arena in place.
+  /// the same LCO arena in place.
   void prepare(std::span<const Vec3> sources, std::span<const Vec3> targets);
 
   /// The resident pipeline behind prepare(), for epochs, epoch statistics

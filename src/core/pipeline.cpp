@@ -100,9 +100,11 @@ void EvalPipeline::build(std::span<const Vec3> sources,
 }
 
 void EvalPipeline::rebuild() {
-  // The old engine references model_'s tree/DAG; drop it before they are
-  // replaced, then instantiate a fresh arena on the next evaluate().
+  // The old engine references model_'s tree/DAG; drop both before the new
+  // ones are built, so the old model is not resident beside the new lists
+  // and DAG.  The next evaluate() instantiates a fresh arena.
   engine_.reset();
+  model_ = PreparedModel{};
   build(src_pts_, tgt_pts_);
   ++rebuilds_;
   snapshot_baseline();
@@ -247,7 +249,7 @@ std::uint64_t EvalPipeline::gas_allocs_last_epoch() const {
 }
 
 std::size_t EvalPipeline::gas_objects_on(std::uint32_t locality) const {
-  return engine_ ? engine_->gas().objects_on(locality) : 0;
+  return engine_ ? engine_->objects_on(locality) : 0;
 }
 
 }  // namespace amtfmm

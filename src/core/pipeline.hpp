@@ -58,7 +58,7 @@ struct PipelineUpdateStats {
 /// The one evaluation path: every epoch — real or simulated, in process or
 /// on a socket rank — runs here and fills its EvalResult here.  Evaluator
 /// is a facade over it.  The pipeline is resident: where a one-shot
-/// evaluation builds the tree, allocates the GAS/LCO arena, evaluates and
+/// evaluation builds the tree, sets up the LCO arena, evaluates and
 /// tears everything down, the pipeline keeps every layer alive across
 /// epochs:
 ///
@@ -66,9 +66,9 @@ struct PipelineUpdateStats {
 ///    per-epoch transport statistics are deltas against a baseline
 ///    snapshot, so the wire_bytes == bytes_sent identity holds per epoch on
 ///    a shared executor,
-///  - the DagEngine is resident: epoch 1 instantiates the GAS arena, every
-///    later epoch re-arms the same LCOs in place and replays the leaf
-///    seeds — zero GAS/LCO allocations in steady state,
+///  - the DagEngine is resident: epoch 1 instantiates the LCO arena, every
+///    later epoch re-arms it in place and replays the leaf seeds — no node
+///    is instantiated in steady state,
 ///  - geometry changes go through update_sources/update_targets, which
 ///    re-sort only the dirty leaves and refresh the count-dependent DAG
 ///    annotations; a structure change falls back to a full rebuild,
@@ -143,9 +143,10 @@ class EvalPipeline {
   double setup_seconds() const { return setup_seconds_; }
   /// Seconds spent re-arming the resident arena before the last epoch.
   double last_reset_seconds() const;
-  /// GAS allocations during the last epoch (0 in steady state).
+  /// Nodes instantiated during the last epoch: the DAG's node count on a
+  /// fresh engine's first epoch, 0 in steady state.
   std::uint64_t gas_allocs_last_epoch() const;
-  /// Resident GAS objects on one locality.
+  /// DAG nodes placed on one locality (0 before the first epoch).
   std::size_t gas_objects_on(std::uint32_t locality) const;
   /// Full rebuilds forced by structure-changing updates.
   std::uint64_t rebuilds() const { return rebuilds_; }

@@ -28,11 +28,11 @@ class CountingKernel final : public Kernel {
     out.assign(1, cdouble{});
     for (std::size_t i = 0; i < pts.size(); ++i) out[0] += q[i];
   }
-  void m2m_acc(const CoeffVec& in, const Vec3&, const Vec3&, int,
+  void m2m_acc(CoeffSpan in, const Vec3&, const Vec3&, int,
                CoeffVec& inout) const override {
     inout[0] += in[0];
   }
-  void m2l_acc(const CoeffVec& in, const Vec3&, const Vec3&, int,
+  void m2l_acc(CoeffSpan in, const Vec3&, const Vec3&, int,
                CoeffVec& inout) const override {
     inout[0] += in[0];
   }
@@ -40,24 +40,24 @@ class CountingKernel final : public Kernel {
                const Vec3&, int, CoeffVec& inout) const override {
     for (std::size_t i = 0; i < pts.size(); ++i) inout[0] += q[i];
   }
-  double m2t(const CoeffVec& in, const Vec3&, int, const Vec3&) const override {
+  double m2t(CoeffSpan in, const Vec3&, int, const Vec3&) const override {
     return in[0].real();
   }
-  void l2l_acc(const CoeffVec& in, const Vec3&, const Vec3&, int,
+  void l2l_acc(CoeffSpan in, const Vec3&, const Vec3&, int,
                CoeffVec& inout) const override {
     inout[0] += in[0];
   }
-  double l2t(const CoeffVec& in, const Vec3&, int, const Vec3&) const override {
+  double l2t(CoeffSpan in, const Vec3&, int, const Vec3&) const override {
     return in[0].real();
   }
-  void m2i(const CoeffVec& m, int, Axis, CoeffVec& out) const override {
+  void m2i(CoeffSpan m, int, Axis, CoeffVec& out) const override {
     out.assign(1, m[0]);
   }
-  void i2i_acc(const CoeffVec& in, Axis, const Vec3&, int,
+  void i2i_acc(CoeffSpan in, Axis, const Vec3&, int,
                CoeffVec& inout) const override {
     inout[0] += in[0];
   }
-  void i2l_acc(const CoeffVec& in, Axis, int, CoeffVec& inout) const override {
+  void i2l_acc(CoeffSpan in, Axis, int, CoeffVec& inout) const override {
     inout[0] += in[0];
   }
 };

@@ -48,7 +48,7 @@ std::size_t Kernel::x_wire_bytes(int level) const {
 namespace {
 
 // Default codec: coefficients travel raw (wire bytes == count * 16).
-void copy_raw_out(const CoeffVec& full, std::size_t count, std::byte* out) {
+void copy_raw_out(CoeffSpan full, std::size_t count, std::byte* out) {
   AMTFMM_ASSERT(full.size() >= count);
   std::memcpy(out, full.data(), count * sizeof(cdouble));
 }
@@ -82,21 +82,21 @@ void Kernel::s2t_batch(const simd::P2PBatch& b) const {
   }
 }
 
-void Kernel::pack_m(const CoeffVec& full, int level, std::byte* out) const {
+void Kernel::pack_m(CoeffSpan full, int level, std::byte* out) const {
   copy_raw_out(full, m_count(level), out);
 }
 void Kernel::unpack_m(std::span<const std::byte> wire, int level,
                       CoeffVec& out) const {
   copy_raw_in(wire, m_count(level), out);
 }
-void Kernel::pack_l(const CoeffVec& full, int level, std::byte* out) const {
+void Kernel::pack_l(CoeffSpan full, int level, std::byte* out) const {
   copy_raw_out(full, l_count(level), out);
 }
 void Kernel::unpack_l(std::span<const std::byte> wire, int level,
                       CoeffVec& out) const {
   copy_raw_in(wire, l_count(level), out);
 }
-void Kernel::pack_x(const CoeffVec& full, int level, std::byte* out) const {
+void Kernel::pack_x(CoeffSpan full, int level, std::byte* out) const {
   copy_raw_out(full, x_count(level), out);
 }
 void Kernel::unpack_x(std::span<const std::byte> wire, int level,
@@ -104,7 +104,7 @@ void Kernel::unpack_x(std::span<const std::byte> wire, int level,
   copy_raw_in(wire, x_count(level), out);
 }
 
-void Kernel::pack_symmetric(int p, const CoeffVec& full, std::byte* out) {
+void Kernel::pack_symmetric(int p, CoeffSpan full, std::byte* out) {
   auto scratch = ScratchArena::local().coeffs();
   pack_wire(p, full, *scratch);
   std::memcpy(out, scratch->data(), wire_bytes(p));
@@ -124,19 +124,19 @@ Vec3 Kernel::direct_grad(const Vec3&, const Vec3&) const {
   return {};
 }
 
-Vec3 Kernel::l2t_grad(const CoeffVec&, const Vec3&, int, const Vec3&) const {
+Vec3 Kernel::l2t_grad(CoeffSpan, const Vec3&, int, const Vec3&) const {
   AMTFMM_ASSERT_MSG(false, "kernel does not support gradients");
   return {};
 }
 
-void Kernel::m2i(const CoeffVec&, int, Axis, CoeffVec&) const {
+void Kernel::m2i(CoeffSpan, int, Axis, CoeffVec&) const {
   AMTFMM_ASSERT_MSG(false, "kernel does not support merge-and-shift");
 }
-void Kernel::i2i_acc(const CoeffVec&, Axis, const Vec3&, int,
+void Kernel::i2i_acc(CoeffSpan, Axis, const Vec3&, int,
                      CoeffVec&) const {
   AMTFMM_ASSERT_MSG(false, "kernel does not support merge-and-shift");
 }
-void Kernel::i2l_acc(const CoeffVec&, Axis, int, CoeffVec&) const {
+void Kernel::i2l_acc(CoeffSpan, Axis, int, CoeffVec&) const {
   AMTFMM_ASSERT_MSG(false, "kernel does not support merge-and-shift");
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -14,7 +15,7 @@ namespace amtfmm {
 /// The eleven FMM operators of the paper's Figure 1c: eight basic (solid
 /// lines) plus the three intermediate-expansion operators of the advanced,
 /// merge-and-shift FMM (dashed lines).
-enum class Operator {
+enum class Operator : std::uint8_t {
   kS2T,
   kS2M,
   kS2L,
@@ -84,13 +85,13 @@ class Kernel {
   /// symmetry (Laplace, Yukawa) override with the packed m >= 0 format.
   /// These are the hooks the engine's parcels use, so wire accounting and
   /// wire content agree by construction.
-  virtual void pack_m(const CoeffVec& full, int level, std::byte* out) const;
+  virtual void pack_m(CoeffSpan full, int level, std::byte* out) const;
   virtual void unpack_m(std::span<const std::byte> wire, int level,
                         CoeffVec& out) const;
-  virtual void pack_l(const CoeffVec& full, int level, std::byte* out) const;
+  virtual void pack_l(CoeffSpan full, int level, std::byte* out) const;
   virtual void unpack_l(std::span<const std::byte> wire, int level,
                         CoeffVec& out) const;
-  virtual void pack_x(const CoeffVec& full, int level, std::byte* out) const;
+  virtual void pack_x(CoeffSpan full, int level, std::byte* out) const;
   virtual void unpack_x(std::span<const std::byte> wire, int level,
                         CoeffVec& out) const;
 
@@ -120,32 +121,32 @@ class Kernel {
   // --- Basic operators -----------------------------------------------------
   virtual void s2m(std::span<const Vec3> pts, std::span<const double> q,
                    const Vec3& center, int level, CoeffVec& out) const = 0;
-  virtual void m2m_acc(const CoeffVec& in, const Vec3& from, const Vec3& to,
+  virtual void m2m_acc(CoeffSpan in, const Vec3& from, const Vec3& to,
                        int from_level, CoeffVec& inout) const = 0;
-  virtual void m2l_acc(const CoeffVec& in, const Vec3& from, const Vec3& to,
+  virtual void m2l_acc(CoeffSpan in, const Vec3& from, const Vec3& to,
                        int level, CoeffVec& inout) const = 0;
   virtual void s2l_acc(std::span<const Vec3> pts, std::span<const double> q,
                        const Vec3& center, int level, CoeffVec& inout) const = 0;
-  virtual double m2t(const CoeffVec& in, const Vec3& center, int level,
+  virtual double m2t(CoeffSpan in, const Vec3& center, int level,
                      const Vec3& t) const = 0;
-  virtual void l2l_acc(const CoeffVec& in, const Vec3& from, const Vec3& to,
+  virtual void l2l_acc(CoeffSpan in, const Vec3& from, const Vec3& to,
                        int to_level, CoeffVec& inout) const = 0;
-  virtual double l2t(const CoeffVec& in, const Vec3& center, int level,
+  virtual double l2t(CoeffSpan in, const Vec3& center, int level,
                      const Vec3& t) const = 0;
-  virtual Vec3 l2t_grad(const CoeffVec& in, const Vec3& center, int level,
+  virtual Vec3 l2t_grad(CoeffSpan in, const Vec3& center, int level,
                         const Vec3& t) const;
 
   // --- Advanced (intermediate-expansion) operators -------------------------
   /// Outgoing plane-wave expansion of a multipole, for one direction.
-  virtual void m2i(const CoeffVec& m, int level, Axis d, CoeffVec& out) const;
+  virtual void m2i(CoeffSpan m, int level, Axis d, CoeffVec& out) const;
   /// Diagonal translation of an X expansion by the physical offset
   /// to_center - from_center, accumulated into the receiver.  `level` keys
   /// the quadrature (the target child level for merge/shift chains).
-  virtual void i2i_acc(const CoeffVec& in, Axis d, const Vec3& offset,
+  virtual void i2i_acc(CoeffSpan in, Axis d, const Vec3& offset,
                        int level, CoeffVec& inout) const;
   /// Conversion of an accumulated incoming X expansion into the box's local
   /// expansion.
-  virtual void i2l_acc(const CoeffVec& in, Axis d, int level,
+  virtual void i2l_acc(CoeffSpan in, Axis d, int level,
                        CoeffVec& inout) const;
 
  protected:
@@ -155,7 +156,7 @@ class Kernel {
 
   /// Packed conjugate-symmetric wire codec shared by the Laplace and Yukawa
   /// overrides (wire_count(p) complex values; see math/coeffs.hpp).
-  static void pack_symmetric(int p, const CoeffVec& full, std::byte* out);
+  static void pack_symmetric(int p, CoeffSpan full, std::byte* out);
   static void unpack_symmetric(int p, bool condon_phase,
                                std::span<const std::byte> wire, CoeffVec& out);
 

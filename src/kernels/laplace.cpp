@@ -88,7 +88,7 @@ void LaplaceKernel::s2m(std::span<const Vec3> pts, std::span<const double> q,
   }
 }
 
-void LaplaceKernel::m2m_acc(const CoeffVec& in, const Vec3& from,
+void LaplaceKernel::m2m_acc(CoeffSpan in, const Vec3& from,
                             const Vec3& to, int from_level,
                             CoeffVec& inout) const {
   const double sc = scale(from_level);
@@ -117,7 +117,7 @@ void LaplaceKernel::m2m_acc(const CoeffVec& in, const Vec3& from,
   }
 }
 
-void LaplaceKernel::m2l_acc(const CoeffVec& in, const Vec3& from,
+void LaplaceKernel::m2l_acc(CoeffSpan in, const Vec3& from,
                             const Vec3& to, int level, CoeffVec& inout) const {
   if (m2l_mode() == M2LMode::kNaive) {
     m2l_naive(in, from, to, level, inout);
@@ -126,7 +126,7 @@ void LaplaceKernel::m2l_acc(const CoeffVec& in, const Vec3& from,
   m2l_rotated(m2l_rot_.find(to - from, scale(level)), in, level, inout);
 }
 
-void LaplaceKernel::m2l_naive(const CoeffVec& in, const Vec3& from,
+void LaplaceKernel::m2l_naive(CoeffSpan in, const Vec3& from,
                               const Vec3& to, int level,
                               CoeffVec& inout) const {
   const double s = scale(level);
@@ -148,7 +148,7 @@ void LaplaceKernel::m2l_naive(const CoeffVec& in, const Vec3& from,
   }
 }
 
-void LaplaceKernel::m2l_rotated(const M2LDirection& dir, const CoeffVec& in,
+void LaplaceKernel::m2l_rotated(const M2LDirection& dir, CoeffSpan in,
                                 int level, CoeffVec& inout) const {
   // Point-and-shoot: in the frame where the translation is d*zhat, only the
   // mu = 0 irregular harmonics survive, collapsing the naive double loop to
@@ -205,12 +205,12 @@ void LaplaceKernel::s2l_acc(std::span<const Vec3> pts,
   }
 }
 
-double LaplaceKernel::m2t(const CoeffVec& in, const Vec3& center, int level,
+double LaplaceKernel::m2t(CoeffSpan in, const Vec3& center, int level,
                           const Vec3& t) const {
   return eval_irregular(p_, in, t - center, scale(level));
 }
 
-void LaplaceKernel::l2l_acc(const CoeffVec& in, const Vec3& from,
+void LaplaceKernel::l2l_acc(CoeffSpan in, const Vec3& from,
                             const Vec3& to, int to_level,
                             CoeffVec& inout) const {
   const double sc = scale(to_level);
@@ -238,17 +238,17 @@ void LaplaceKernel::l2l_acc(const CoeffVec& in, const Vec3& from,
   }
 }
 
-double LaplaceKernel::l2t(const CoeffVec& in, const Vec3& center, int level,
+double LaplaceKernel::l2t(CoeffSpan in, const Vec3& center, int level,
                           const Vec3& t) const {
   return eval_conj_regular(p_, in, t - center, scale(level));
 }
 
-Vec3 LaplaceKernel::l2t_grad(const CoeffVec& in, const Vec3& center, int level,
+Vec3 LaplaceKernel::l2t_grad(CoeffSpan in, const Vec3& center, int level,
                              const Vec3& t) const {
   return grad_conj_regular(p_, in, t - center, scale(level));
 }
 
-void LaplaceKernel::m2i(const CoeffVec& m, int level, Axis d,
+void LaplaceKernel::m2i(CoeffSpan m, int level, Axis d,
                         CoeffVec& out) const {
   auto mrot = ScratchArena::local().coeffs();
   fwd_[static_cast<std::size_t>(d)].apply(m, g_multipole_, 1, *mrot);
@@ -257,12 +257,12 @@ void LaplaceKernel::m2i(const CoeffVec& m, int level, Axis d,
   pw_.m2i(*mrot, 1.0 / scale(level), out);
 }
 
-void LaplaceKernel::i2i_acc(const CoeffVec& in, Axis d, const Vec3& offset,
+void LaplaceKernel::i2i_acc(CoeffSpan in, Axis d, const Vec3& offset,
                             int level, CoeffVec& inout) const {
   pw_.i2i_acc(in, d, offset, scale(level), inout);
 }
 
-void LaplaceKernel::i2l_acc(const CoeffVec& in, Axis d, int level,
+void LaplaceKernel::i2l_acc(CoeffSpan in, Axis d, int level,
                             CoeffVec& inout) const {
   (void)level;
   auto& arena = ScratchArena::local();

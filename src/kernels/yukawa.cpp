@@ -183,7 +183,7 @@ void YukawaKernel::s2m(std::span<const Vec3> pts, std::span<const double> q,
   }
 }
 
-double YukawaKernel::m2t(const CoeffVec& in, const Vec3& center, int level,
+double YukawaKernel::m2t(CoeffSpan in, const Vec3& center, int level,
                          const Vec3& t) const {
   const auto& norm = inorm(level);
   const Vec3 u = t - center;
@@ -233,7 +233,7 @@ void YukawaKernel::s2l_acc(std::span<const Vec3> pts,
   }
 }
 
-double YukawaKernel::l2t(const CoeffVec& in, const Vec3& center, int level,
+double YukawaKernel::l2t(CoeffSpan in, const Vec3& center, int level,
                          const Vec3& t) const {
   const auto& norm = inorm(level);
   const Vec3 u = t - center;
@@ -256,7 +256,7 @@ double YukawaKernel::l2t(const CoeffVec& in, const Vec3& center, int level,
   return acc.real();
 }
 
-void YukawaKernel::m2m_acc(const CoeffVec& in, const Vec3& from,
+void YukawaKernel::m2m_acc(CoeffSpan in, const Vec3& from,
                            const Vec3& to, int from_level,
                            CoeffVec& inout) const {
   // Numeric translation: evaluate the child expansion on a sphere around
@@ -288,7 +288,7 @@ void YukawaKernel::m2m_acc(const CoeffVec& in, const Vec3& from,
   }
 }
 
-void YukawaKernel::m2l_acc(const CoeffVec& in, const Vec3& from,
+void YukawaKernel::m2l_acc(CoeffSpan in, const Vec3& from,
                            const Vec3& to, int level, CoeffVec& inout) const {
   if (m2l_mode() == M2LMode::kNaive) {
     m2l_naive(in, from, to, level, inout);
@@ -297,7 +297,7 @@ void YukawaKernel::m2l_acc(const CoeffVec& in, const Vec3& from,
   m2l_rotated(m2l_rot_.find(to - from, box_size(level)), in, level, inout);
 }
 
-void YukawaKernel::m2l_naive(const CoeffVec& in, const Vec3& from,
+void YukawaKernel::m2l_naive(CoeffSpan in, const Vec3& from,
                              const Vec3& to, int level, CoeffVec& inout) const {
   const double radius = 0.8 * box_size(level);
   auto& arena = ScratchArena::local();
@@ -325,7 +325,7 @@ void YukawaKernel::m2l_naive(const CoeffVec& in, const Vec3& from,
   }
 }
 
-void YukawaKernel::m2l_rotated(const M2LDirection& dir, const CoeffVec& in,
+void YukawaKernel::m2l_rotated(const M2LDirection& dir, CoeffSpan in,
                                int level, CoeffVec& inout) const {
   auto& arena = ScratchArena::local();
   auto mrot_lease = arena.coeffs();
@@ -360,7 +360,7 @@ void YukawaKernel::m2l_rotated(const M2LDirection& dir, const CoeffVec& in,
   for (std::size_t i = 0; i < back.size(); ++i) inout[i] += back[i];
 }
 
-void YukawaKernel::l2l_acc(const CoeffVec& in, const Vec3& from,
+void YukawaKernel::l2l_acc(CoeffSpan in, const Vec3& from,
                            const Vec3& to, int to_level,
                            CoeffVec& inout) const {
   const double radius = 0.7 * box_size(to_level);
@@ -389,7 +389,7 @@ void YukawaKernel::l2l_acc(const CoeffVec& in, const Vec3& from,
   }
 }
 
-void YukawaKernel::m2i(const CoeffVec& m, int level, Axis d,
+void YukawaKernel::m2i(CoeffSpan m, int level, Axis d,
                        CoeffVec& out) const {
   const PlaneWaveOperators& pw = pw_[static_cast<std::size_t>(clamped(level))];
   if (pw.size() == 0) {
@@ -402,14 +402,14 @@ void YukawaKernel::m2i(const CoeffVec& m, int level, Axis d,
   pw.m2i(*mrot, 1.0 / box_size(level), out);
 }
 
-void YukawaKernel::i2i_acc(const CoeffVec& in, Axis d, const Vec3& offset,
+void YukawaKernel::i2i_acc(CoeffSpan in, Axis d, const Vec3& offset,
                            int level, CoeffVec& inout) const {
   const PlaneWaveOperators& pw = pw_[static_cast<std::size_t>(clamped(level))];
   if (pw.size() == 0) return;
   pw.i2i_acc(in, d, offset, box_size(level), inout);
 }
 
-void YukawaKernel::i2l_acc(const CoeffVec& in, Axis d, int level,
+void YukawaKernel::i2l_acc(CoeffSpan in, Axis d, int level,
                            CoeffVec& inout) const {
   const PlaneWaveOperators& pw = pw_[static_cast<std::size_t>(clamped(level))];
   if (pw.size() == 0) return;

@@ -53,14 +53,14 @@ class YukawaKernel final : public Kernel {
   bool supports_merge_and_shift() const override { return true; }
 
   // Gamma-weighted angular bases: c_n^{-m} = conj(c_n^m) on the wire.
-  void pack_m(const CoeffVec& full, int, std::byte* out) const override {
+  void pack_m(CoeffSpan full, int, std::byte* out) const override {
     pack_symmetric(p_, full, out);
   }
   void unpack_m(std::span<const std::byte> wire, int,
                 CoeffVec& out) const override {
     unpack_symmetric(p_, /*condon_phase=*/false, wire, out);
   }
-  void pack_l(const CoeffVec& full, int, std::byte* out) const override {
+  void pack_l(CoeffSpan full, int, std::byte* out) const override {
     pack_symmetric(p_, full, out);
   }
   void unpack_l(std::span<const std::byte> wire, int,
@@ -75,23 +75,23 @@ class YukawaKernel final : public Kernel {
 
   void s2m(std::span<const Vec3> pts, std::span<const double> q,
            const Vec3& center, int level, CoeffVec& out) const override;
-  void m2m_acc(const CoeffVec& in, const Vec3& from, const Vec3& to,
+  void m2m_acc(CoeffSpan in, const Vec3& from, const Vec3& to,
                int from_level, CoeffVec& inout) const override;
-  void m2l_acc(const CoeffVec& in, const Vec3& from, const Vec3& to, int level,
+  void m2l_acc(CoeffSpan in, const Vec3& from, const Vec3& to, int level,
                CoeffVec& inout) const override;
   void s2l_acc(std::span<const Vec3> pts, std::span<const double> q,
                const Vec3& center, int level, CoeffVec& inout) const override;
-  double m2t(const CoeffVec& in, const Vec3& center, int level,
+  double m2t(CoeffSpan in, const Vec3& center, int level,
              const Vec3& t) const override;
-  void l2l_acc(const CoeffVec& in, const Vec3& from, const Vec3& to,
+  void l2l_acc(CoeffSpan in, const Vec3& from, const Vec3& to,
                int to_level, CoeffVec& inout) const override;
-  double l2t(const CoeffVec& in, const Vec3& center, int level,
+  double l2t(CoeffSpan in, const Vec3& center, int level,
              const Vec3& t) const override;
 
-  void m2i(const CoeffVec& m, int level, Axis d, CoeffVec& out) const override;
-  void i2i_acc(const CoeffVec& in, Axis d, const Vec3& offset, int level,
+  void m2i(CoeffSpan m, int level, Axis d, CoeffVec& out) const override;
+  void i2i_acc(CoeffSpan in, Axis d, const Vec3& offset, int level,
                CoeffVec& inout) const override;
-  void i2l_acc(const CoeffVec& in, Axis d, int level,
+  void i2l_acc(CoeffSpan in, Axis d, int level,
                CoeffVec& inout) const override;
 
   int order() const { return p_; }
@@ -105,9 +105,9 @@ class YukawaKernel final : public Kernel {
   double box_size(int level) const;
   /// i_n(kappa * w_level) table for the level.
   const std::vector<double>& inorm(int level) const;
-  void m2l_naive(const CoeffVec& in, const Vec3& from, const Vec3& to,
+  void m2l_naive(CoeffSpan in, const Vec3& from, const Vec3& to,
                  int level, CoeffVec& inout) const;
-  void m2l_rotated(const M2LDirection& dir, const CoeffVec& in, int level,
+  void m2l_rotated(const M2LDirection& dir, CoeffSpan in, int level,
                    CoeffVec& inout) const;
   /// Packed index of T^mu_{jn} inside a per-(level, dist) axial table.
   std::size_t axial_index(int mu, int j, int n) const {

@@ -2,12 +2,16 @@
 
 #include <complex>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace amtfmm {
 
 using cdouble = std::complex<double>;
 using CoeffVec = std::vector<cdouble>;
+/// Read-only view of expansion coefficients: what operators take as input,
+/// so an expansion can live in a vector or in a slice of a larger block.
+using CoeffSpan = std::span<const cdouble>;
 
 /// Expansion coefficients c_n^m for 0 <= n <= p, -n <= m <= n are stored in
 /// a dense "square" layout of (p+1)^2 complex values:
@@ -35,7 +39,7 @@ inline std::size_t wire_count(int p) {
 inline std::size_t wire_bytes(int p) { return wire_count(p) * sizeof(cdouble); }
 
 /// Packs the m >= 0 half of a square-layout expansion (the wire format).
-inline void pack_wire(int p, const CoeffVec& full, CoeffVec& wire) {
+inline void pack_wire(int p, CoeffSpan full, CoeffVec& wire) {
   wire.resize(wire_count(p));
   std::size_t w = 0;
   for (int n = 0; n <= p; ++n)

@@ -83,7 +83,7 @@ const M2LDirection& M2LRotationSet::find(const Vec3& t, double box_size) const {
 }
 
 void M2LRotationSet::rotate_forward(const M2LDirection& dir,
-                                    const CoeffVec& in,
+                                    CoeffSpan in,
                                     const std::vector<double>& g, int s,
                                     CoeffVec& out) const {
   AMTFMM_ASSERT(in.size() == sq_count(p_));
@@ -108,7 +108,7 @@ void M2LRotationSet::rotate_forward(const M2LDirection& dir,
 }
 
 void M2LRotationSet::rotate_inverse(const M2LDirection& dir,
-                                    const CoeffVec& in,
+                                    CoeffSpan in,
                                     const std::vector<double>& g, int s,
                                     CoeffVec& out) const {
   AMTFMM_ASSERT(in.size() == sq_count(p_));

@@ -54,12 +54,12 @@ class M2LRotationSet {
 
   /// Rotates multipole-type coefficients into the frame where the offset
   /// direction is +z (diagonal pre-phase, then the polar block transform).
-  void rotate_forward(const M2LDirection& dir, const CoeffVec& in,
+  void rotate_forward(const M2LDirection& dir, CoeffSpan in,
                       const std::vector<double>& g, int s,
                       CoeffVec& out) const;
   /// Rotates local-type coefficients back into the grid frame (polar block
   /// transform of the inverse rotation, then diagonal post-phase).
-  void rotate_inverse(const M2LDirection& dir, const CoeffVec& in,
+  void rotate_inverse(const M2LDirection& dir, CoeffSpan in,
                       const std::vector<double>& g, int s,
                       CoeffVec& out) const;
 

@@ -257,7 +257,7 @@ PlaneWaveOperators::PlaneWaveOperators(const PlaneWaveQuadrature& q, int p,
   }
 }
 
-void PlaneWaveOperators::m2i(const CoeffVec& mrot, double scale,
+void PlaneWaveOperators::m2i(CoeffSpan mrot, double scale,
                              CoeffVec& out) const {
   out.assign(size_, cdouble{});
   const auto np = static_cast<std::size_t>(p_) + 1;
@@ -294,7 +294,7 @@ void PlaneWaveOperators::m2i(const CoeffVec& mrot, double scale,
   }
 }
 
-void PlaneWaveOperators::i2i_acc(const CoeffVec& in, Axis d,
+void PlaneWaveOperators::i2i_acc(CoeffSpan in, Axis d,
                                  const Vec3& offset, double box,
                                  CoeffVec& inout) const {
   AMTFMM_ASSERT(in.size() == size_ && inout.size() == size_);
@@ -319,7 +319,7 @@ void PlaneWaveOperators::i2i_acc(const CoeffVec& in, Axis d,
   }
 }
 
-void PlaneWaveOperators::i2l(const CoeffVec& x, PlaneWaveLocal layout,
+void PlaneWaveOperators::i2l(CoeffSpan x, PlaneWaveLocal layout,
                              CoeffVec& lrot) const {
   AMTFMM_ASSERT(x.size() == size_);
   lrot.assign(sq_count(p_), cdouble{});

@@ -115,12 +115,12 @@ class PlaneWaveOperators {
   std::size_t size() const { return size_; }
 
   /// Rotated multipole (square layout) -> half-spectrum X, times `scale`.
-  void m2i(const CoeffVec& mrot, double scale, CoeffVec& out) const;
+  void m2i(CoeffSpan mrot, double scale, CoeffVec& out) const;
   /// inout += in translated by the physical `offset` for direction `d`.
-  void i2i_acc(const CoeffVec& in, Axis d, const Vec3& offset, double box,
+  void i2i_acc(CoeffSpan in, Axis d, const Vec3& offset, double box,
                CoeffVec& inout) const;
   /// Half-spectrum X -> rotated local (square layout, overwritten).
-  void i2l(const CoeffVec& x, PlaneWaveLocal layout, CoeffVec& lrot) const;
+  void i2l(CoeffSpan x, PlaneWaveLocal layout, CoeffVec& lrot) const;
 
  private:
   static constexpr std::size_t kXYRows = 2 * kHalfBoxXYMax + 1;

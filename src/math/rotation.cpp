@@ -128,7 +128,7 @@ AngularTransform::AngularTransform(int p, const Mat3& q) : p_(p) {
   }
 }
 
-void AngularTransform::apply(const CoeffVec& in, const std::vector<double>& g,
+void AngularTransform::apply(CoeffSpan in, const std::vector<double>& g,
                              int s, CoeffVec& out) const {
   AMTFMM_ASSERT(s == 1 || s == -1);
   AMTFMM_ASSERT(in.size() == sq_count(p_));

@@ -49,7 +49,7 @@ class AngularTransform {
   /// into coefficients of Phi(Q^T x) in the same basis.  `g` is the basis
   /// weight in square layout (real), `s` selects the plain (+1, multipole /
   /// irregular) or conjugated (-1, local / conj-regular) azimuthal index.
-  void apply(const CoeffVec& in, const std::vector<double>& g, int s,
+  void apply(CoeffSpan in, const std::vector<double>& g, int s,
              CoeffVec& out) const;
 
  private:

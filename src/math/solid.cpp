@@ -77,7 +77,7 @@ void irregular_solid(int p, const Vec3& v, double scale, CoeffVec& out) {
   fill_negative_m(p, out);
 }
 
-double eval_conj_regular(int p, const CoeffVec& c, const Vec3& v,
+double eval_conj_regular(int p, CoeffSpan c, const Vec3& v,
                          double scale) {
   auto r_lease = ScratchArena::local().coeffs();
   CoeffVec& r = *r_lease;
@@ -87,7 +87,7 @@ double eval_conj_regular(int p, const CoeffVec& c, const Vec3& v,
   return acc.real();
 }
 
-double eval_irregular(int p, const CoeffVec& c, const Vec3& v, double scale) {
+double eval_irregular(int p, CoeffSpan c, const Vec3& v, double scale) {
   auto s_lease = ScratchArena::local().coeffs();
   CoeffVec& s = *s_lease;
   irregular_solid(p, v, scale, s);
@@ -96,7 +96,7 @@ double eval_irregular(int p, const CoeffVec& c, const Vec3& v, double scale) {
   return acc.real() / scale;
 }
 
-Vec3 grad_conj_regular(int p, const CoeffVec& c, const Vec3& v, double scale) {
+Vec3 grad_conj_regular(int p, CoeffSpan c, const Vec3& v, double scale) {
   // d/dz conj(Rh_j^k) = conj(Rh_{j-1}^k)/s,
   // (dx - i dy) conj(Rh_j^k) = -conj(Rh_{j-1}^{k+1})/s.
   auto r_lease = ScratchArena::local().coeffs();
@@ -118,7 +118,7 @@ Vec3 grad_conj_regular(int p, const CoeffVec& c, const Vec3& v, double scale) {
   return {dxmidy.real() * inv_s, -dxmidy.imag() * inv_s, dz.real() * inv_s};
 }
 
-Vec3 grad_irregular(int p, const CoeffVec& c, const Vec3& v, double scale) {
+Vec3 grad_irregular(int p, CoeffSpan c, const Vec3& v, double scale) {
   // Needs irregular harmonics to order p+1.
   auto s_lease = ScratchArena::local().coeffs();
   CoeffVec& s = *s_lease;

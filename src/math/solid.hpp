@@ -31,13 +31,13 @@ void regular_solid(int p, const Vec3& v, double scale, CoeffVec& out);
 void irregular_solid(int p, const Vec3& v, double scale, CoeffVec& out);
 
 /// Evaluates sum_{n,m} c_n^m conj(R_n^m(v)) (local-expansion evaluation).
-double eval_conj_regular(int p, const CoeffVec& c, const Vec3& v, double scale);
+double eval_conj_regular(int p, CoeffSpan c, const Vec3& v, double scale);
 
 /// Evaluates sum_{n,m} c_n^m S_n^m(v) (multipole far-field evaluation).
-double eval_irregular(int p, const CoeffVec& c, const Vec3& v, double scale);
+double eval_irregular(int p, CoeffSpan c, const Vec3& v, double scale);
 
 /// Gradient versions of the two evaluators (for force computation).
-Vec3 grad_conj_regular(int p, const CoeffVec& c, const Vec3& v, double scale);
-Vec3 grad_irregular(int p, const CoeffVec& c, const Vec3& v, double scale);
+Vec3 grad_conj_regular(int p, CoeffSpan c, const Vec3& v, double scale);
+Vec3 grad_irregular(int p, CoeffSpan c, const Vec3& v, double scale);
 
 }  // namespace amtfmm

@@ -29,8 +29,8 @@ const char* mutation_name(Mutation m) {
       return "lco-set-input-no-lock";
     case Mutation::kCoalescerCountAfterInsert:
       return "coalescer-count-after-insert";
-    case Mutation::kGasResolveRelaxed:
-      return "gas-resolve-relaxed";
+    case Mutation::kArenaInputNoLock:
+      return "arena-input-no-lock";
     case Mutation::kCountersCountEarly:
       return "counters-count-early";
   }
@@ -41,7 +41,7 @@ Mutation mutation_from_name(const std::string& name) {
   for (Mutation m :
        {Mutation::kNone, Mutation::kStealBottomLoadRelaxed,
         Mutation::kLcoSetInputNoLock, Mutation::kCoalescerCountAfterInsert,
-        Mutation::kGasResolveRelaxed, Mutation::kCountersCountEarly}) {
+        Mutation::kArenaInputNoLock, Mutation::kCountersCountEarly}) {
     if (name == mutation_name(m)) return m;
   }
   if (name.empty()) return Mutation::kNone;
@@ -58,8 +58,8 @@ const char* mutation_scenario(Mutation m) {
       return "lco.trigger_once";
     case Mutation::kCoalescerCountAfterInsert:
       return "coalescer.flush_vs_enqueue";
-    case Mutation::kGasResolveRelaxed:
-      return "gas.alloc_resolve";
+    case Mutation::kArenaInputNoLock:
+      return "arena.trigger_once";
     case Mutation::kCountersCountEarly:
       return "counters.snapshot_consistency";
   }
@@ -94,10 +94,6 @@ const char* sync_kind_name(SyncKind k) {
       return "pending-raise";
     case SyncKind::kPendingLower:
       return "pending-lower";
-    case SyncKind::kGasAlloc:
-      return "gas-alloc";
-    case SyncKind::kGasResolve:
-      return "gas-resolve";
     case SyncKind::kMutexLock:
       return "mutex-lock";
     case SyncKind::kMutexUnlock:

@@ -3,18 +3,20 @@
 #include <memory>
 #include <set>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "rtcheck/harness.hpp"
 #include "rtcheck/model_executor.hpp"
 #include "runtime/coalescer.hpp"
 #include "runtime/counters.hpp"
-#include "runtime/gas.hpp"
 #include "runtime/lco.hpp"
+#include "runtime/lco_arena.hpp"
 #include "runtime/ws_deque.hpp"
 
 // The scenario suites: each builds fresh runtime objects per execution and
 // runs *unmodified* runtime code on the harness's model threads; the sync
-// hooks inside WsDeque/LCO/ParcelCoalescer/Gas/CounterRegistry are the
+// hooks inside WsDeque/LCO/LcoArena/ParcelCoalescer/CounterRegistry are the
 // schedule points.  Scenario-owned payloads are declared to the checker via
 // ScenarioContext::plain_read/plain_write so the happens-before verifier
 // covers the ownership-transfer edges the structures promise.
@@ -404,36 +406,68 @@ Scenario coalescer_quiescence() {
   return s;
 }
 
-Scenario gas_alloc_resolve() {
-  Scenario s;
-  s.name = "gas.alloc_resolve";
-  s.summary =
-      "one thread allocates a GAS object while another resolves it — "
-      "verifies the release/acquire edge on the heap size covers the slot";
-  s.make = [](ScenarioContext& ctx) {
-    struct St {
-      ModelExecutor ex;
-      Gas gas{1};
-      LCO* resolved = nullptr;
-    };
-    auto st = std::make_shared<St>();
-    // Pre-create chunk 0 on the controller so the test isolates the size
-    // edge: otherwise the chunk-pointer release store (first alloc) would
-    // order the slot contents even with the size edge broken.
-    st->gas.alloc(0, std::make_unique<ProbeLco>(st->ex, 1));
-    ScenarioRun run;
-    run.bodies.push_back([st] {  // T0: publish slot 1
-      st->gas.alloc(0, std::make_unique<ProbeLco>(st->ex, 1));
-    });
-    run.bodies.push_back([st] {  // T1: resolve slot 1 once it is published
-      if (st->gas.objects_on(0) >= 2) {
-        st->resolved = st->gas.resolve(GlobalAddress{0, 1});
+/// Node state an arena scenario reduces into: a plain accumulator per node
+/// (declared to the checker, so an unserialized reduction is a race) and
+/// the fires each node's triggering input reported.
+struct ArenaProbe {
+  ModelExecutor ex;
+  LcoArena arena;
+  std::vector<int> total;
+  std::vector<int> fires;
+
+  ArenaProbe(ScenarioContext& ctx, std::vector<std::uint32_t> in_degree)
+      : arena(ex, in_degree.size()),
+        total(in_degree.size(), 0),
+        fires(in_degree.size(), 0) {
+    arena.rearm(in_degree);
+    for (std::size_t i = 0; i < total.size(); ++i) {
+      if (in_degree[i] > 0) {
+        ctx.label(&total[i], "total[" + std::to_string(i) + "]");
       }
+    }
+  }
+
+  /// One input of `v` to node i; true when it triggered the node.
+  bool add(ScenarioContext& ctx, std::uint32_t i, int v) {
+    const bool fired = arena.input(i, [&] {
+      ctx.plain_write(&total[i]);
+      total[i] += v;
+    });
+    if (fired) ++fires[i];
+    return fired;
+  }
+};
+
+Scenario arena_trigger_once() {
+  Scenario s;
+  s.name = "arena.trigger_once";
+  s.summary =
+      "two threads race inputs into two 2-input arena nodes that share a "
+      "stripe — verifies each node fires exactly once and the reductions "
+      "are serialized under the stripe lock";
+  s.make = [](ScenarioContext& ctx) {
+    // Nodes 0 and kStripes share stripe 0; every other node has no inputs.
+    constexpr std::uint32_t kB = LcoArena::kStripes;
+    std::vector<std::uint32_t> deg(kB + 1, 0);
+    deg[0] = 2;
+    deg[kB] = 2;
+    auto st = std::make_shared<ArenaProbe>(ctx, deg);
+    ScenarioRun run;
+    run.bodies.push_back([st, &ctx] {
+      st->add(ctx, 0, 1);
+      st->add(ctx, kB, 1);
+    });
+    run.bodies.push_back([st, &ctx] {
+      st->add(ctx, kB, 1);
+      st->add(ctx, 0, 1);
     });
     run.finish = [st, &ctx] {
-      ctx.check(st->gas.objects_on(0) == 2, "allocation lost");
-      if (st->resolved != nullptr) {
-        ctx.check(!st->resolved->triggered(), "resolved object corrupt");
+      for (const std::uint32_t i : {0u, kB}) {
+        ctx.check(st->arena.triggered(i), "node did not trigger");
+        ctx.check(st->fires[i] == 1, "node fired " +
+                                         std::to_string(st->fires[i]) +
+                                         " times");
+        ctx.check(st->total[i] == 2, "a reduction was lost");
       }
     };
     return run;
@@ -441,32 +475,33 @@ Scenario gas_alloc_resolve() {
   return s;
 }
 
-Scenario gas_concurrent_alloc() {
+Scenario arena_rearm() {
   Scenario s;
-  s.name = "gas.concurrent_alloc";
+  s.name = "arena.rearm";
   s.summary =
-      "two threads allocate on the same locality — verifies the heap lock "
-      "serializes slot assignment and both objects stay resolvable";
+      "two threads race the inputs of a 2-input node; the triggering one "
+      "re-arms the arena and delivers the next epoch — verifies rearm() "
+      "restarts the countdown without tripping the double-fire detector";
   s.make = [](ScenarioContext& ctx) {
-    struct St {
-      ModelExecutor ex;
-      Gas gas{1};
-      std::array<GlobalAddress, 2> addr{};
-    };
-    auto st = std::make_shared<St>();
+    auto st = std::make_shared<ArenaProbe>(ctx, std::vector<std::uint32_t>{2});
     ScenarioRun run;
     for (int t = 0; t < 2; ++t) {
-      run.bodies.push_back([st, t] {
-        st->addr[static_cast<std::size_t>(t)] =
-            st->gas.alloc(0, std::make_unique<ProbeLco>(st->ex, 1));
+      run.bodies.push_back([st, &ctx] {
+        if (!st->add(ctx, 0, 1)) return;
+        // Both epoch-1 inputs are in, so the arena is quiescent: the
+        // trigger may re-arm it and run epoch 2.
+        const std::uint32_t deg = 2;
+        st->arena.rearm({&deg, 1});
+        st->add(ctx, 0, 1);
+        st->add(ctx, 0, 1);
       });
     }
     run.finish = [st, &ctx] {
-      ctx.check(st->gas.objects_on(0) == 2, "allocation lost");
-      ctx.check(st->addr[0].slot != st->addr[1].slot, "slot assigned twice");
-      for (const GlobalAddress& a : st->addr) {
-        ctx.check(st->gas.resolve(a) != nullptr, "object unresolvable");
-      }
+      ctx.check(st->arena.triggered(0), "epoch 2 did not trigger");
+      ctx.check(st->fires[0] == 2,
+                "node fired " + std::to_string(st->fires[0]) +
+                    " times over two epochs");
+      ctx.check(st->total[0] == 4, "a reduction was lost");
     };
     return run;
   };
@@ -722,8 +757,8 @@ const std::vector<Scenario>& all_scenarios() {
       lco_wait_vs_fire(),
       coalescer_flush_vs_enqueue(),
       coalescer_quiescence(),
-      gas_alloc_resolve(),
-      gas_concurrent_alloc(),
+      arena_trigger_once(),
+      arena_rearm(),
       counters_snapshot_consistency(),
       serve_lco_reset_epoch(),
       serve_reset_vs_late_input(),

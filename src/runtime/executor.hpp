@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "runtime/trace.hpp"
+#include "support/error.hpp"
 
 namespace amtfmm {
 
@@ -88,6 +89,15 @@ struct CommStats {
 
 class LocalityRuntime;
 class CounterRegistry;
+
+/// `num_localities`, once it and `cores_per_locality` describe a real
+/// machine; throws config_error for a zero (or negative) size.  Executor
+/// constructors call it before any member is sized from the two.
+inline int checked_localities(int num_localities, int cores_per_locality) {
+  if (num_localities < 1) throw config_error("localities must be >= 1");
+  if (cores_per_locality < 1) throw config_error("cores must be >= 1");
+  return num_localities;
+}
 
 /// Execution substrate: L localities x C scheduler threads plus an
 /// interconnect.  Two implementations share this interface: a real

@@ -46,8 +46,8 @@ class LCO {
   /// Re-arms the trigger-once state for a new epoch: resets the countdown
   /// to `inputs_needed` and clears the trigger (set immediately when
   /// `inputs_needed == 0`, mirroring the constructor).  NOT thread safe
-  /// with respect to set_input/fire: like Gas::reset(), the caller must
-  /// guarantee quiescence (executor drained, no in-flight inputs).  Under
+  /// with respect to set_input/fire: like LcoArena::rearm(), the caller
+  /// must guarantee quiescence (executor drained, no in-flight inputs).  Under
   /// rtcheck the kLcoRearm event resets the double-fire detector, so a
   /// re-armed LCO may legally fire once more.
   void rearm(int inputs_needed);
@@ -59,8 +59,7 @@ class LCO {
   virtual void on_trigger() {}
   /// Invoked once, outside the LCO lock, after the trigger is published and
   /// before the registered continuations are spawned.  Subclasses use this
-  /// to run trigger-time work that itself takes locks or spawns tasks
-  /// (e.g. ExpansionLCO walking its out-edges).
+  /// to run trigger-time work that itself takes locks or spawns tasks.
   virtual void on_fire() {}
 
   Executor& ex_;

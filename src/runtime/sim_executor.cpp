@@ -11,12 +11,11 @@ namespace amtfmm {
 SimExecutor::SimExecutor(int num_localities, int cores_per_locality,
                          SchedPolicy policy, NetworkModel net,
                          std::uint64_t seed, CoalesceConfig coalesce)
-    : num_localities_(num_localities),
+    : num_localities_(checked_localities(num_localities, cores_per_locality)),
       cores_(cores_per_locality),
       policy_(policy),
       net_(net),
       locs_(static_cast<std::size_t>(num_localities)) {
-  AMTFMM_ASSERT(num_localities >= 1 && cores_per_locality >= 1);
   rt_ = std::make_unique<LocalityRuntime>(num_localities, total_workers(),
                                           coalesce);
   std::uint64_t sm = seed;

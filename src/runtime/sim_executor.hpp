@@ -57,6 +57,7 @@ enum class SchedPolicy { kWorkStealing, kFifo };
 /// The simulation is deterministic for a fixed seed.
 class SimExecutor final : public Executor {
  public:
+  /// Throws config_error for zero localities or cores.
   SimExecutor(int num_localities, int cores_per_locality,
               SchedPolicy policy = SchedPolicy::kWorkStealing,
               NetworkModel net = {}, std::uint64_t seed = 1,

@@ -32,8 +32,6 @@ enum class SyncKind : std::uint8_t {
   kBatchFlush,       ///< parcels drained from a coalescing buffer
   kPendingRaise,     ///< coalescer emptiness-probe counter raised
   kPendingLower,     ///< coalescer emptiness-probe counter lowered
-  kGasAlloc,         ///< GAS slot published
-  kGasResolve,       ///< GAS slot resolved
   kMutexLock,        ///< SyncMutex lock/try_lock (trace only)
   kMutexUnlock,      ///< SyncMutex unlock (trace only)
   kCvWait,           ///< SyncCondVar wait block (trace only)
@@ -57,9 +55,9 @@ enum class Mutation : std::uint8_t {
   /// ParcelCoalescer::enqueue raises pending_per_src_ after inserting into
   /// the buffer instead of before, so emptiness probes can under-report.
   kCoalescerCountAfterInsert,
-  /// Gas::resolve loads the heap size relaxed instead of acquire, breaking
-  /// the release/acquire edge from alloc() to the slot contents.
-  kGasResolveRelaxed,
+  /// LcoArena::input skips the stripe lock: two inputs to one node reduce
+  /// at once.
+  kArenaInputNoLock,
   /// CounterRegistry::observe bumps the histogram count before the sum and
   /// buckets (the pre-fix order), so snapshots can see count > contents.
   kCountersCountEarly,

@@ -1,5 +1,7 @@
 #include "runtime/thread_executor.hpp"
 
+#include <string>
+
 #include "support/error.hpp"
 
 namespace amtfmm {
@@ -9,6 +11,22 @@ thread_local int tls_worker = -1;
 
 constexpr int kSpinRounds = 64;   // busy re-check before yielding
 constexpr int kYieldRounds = 16;  // yields before parking on the cv
+
+/// checked_localities, plus a hosted range [first, first + hosted) inside
+/// the world.
+int checked_world(int num_localities, int cores_per_locality,
+                  std::uint32_t first, int hosted) {
+  checked_localities(num_localities, cores_per_locality);
+  if (hosted < 1 || first >= static_cast<std::uint32_t>(num_localities) ||
+      static_cast<std::uint32_t>(hosted) >
+          static_cast<std::uint32_t>(num_localities) - first) {
+    throw config_error("hosted localities [" + std::to_string(first) + ", " +
+                       std::to_string(first) + "+" + std::to_string(hosted) +
+                       ") outside a world of " +
+                       std::to_string(num_localities));
+  }
+  return num_localities;
+}
 
 inline void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -41,7 +59,8 @@ ScopedTrace::~ScopedTrace() {
 ThreadExecutor::ThreadExecutor(int num_localities, int cores_per_locality,
                                std::uint64_t seed, CoalesceConfig coalesce,
                                std::uint32_t first, int hosted)
-    : num_localities_(num_localities),
+    : num_localities_(
+          checked_world(num_localities, cores_per_locality, first, hosted)),
       cores_(cores_per_locality),
       first_(first),
       hosted_(hosted),
@@ -49,9 +68,6 @@ ThreadExecutor::ThreadExecutor(int num_localities, int cores_per_locality,
       inorder_(static_cast<std::size_t>(num_localities) *
                static_cast<std::size_t>(num_localities)),
       epoch_(std::chrono::steady_clock::now()) {
-  AMTFMM_ASSERT(cores_per_locality >= 1 && hosted >= 1 &&
-                first + static_cast<std::uint32_t>(hosted) <=
-                    static_cast<std::uint32_t>(num_localities));
   rt_ = std::make_unique<LocalityRuntime>(num_localities, nworkers_,
                                           coalesce);
   const int n = nworkers_;

@@ -47,6 +47,8 @@ namespace amtfmm {
 /// bound for another locality goes to the transmit() hook instead.
 class ThreadExecutor : public Executor {
  public:
+  /// Throws config_error for zero localities or cores (and, for a derived
+  /// executor, a hosted range outside the world) before any worker starts.
   ThreadExecutor(int num_localities, int cores_per_locality,
                  std::uint64_t seed = 1, CoalesceConfig coalesce = {})
       : ThreadExecutor(num_localities, cores_per_locality, seed, coalesce, 0,

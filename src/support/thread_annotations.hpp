@@ -12,7 +12,7 @@
 //   - Every member written under a mutex carries GUARDED_BY(mu_).  Atomics
 //     accessed lock-free on at least one path are NOT annotated — TSA's
 //     guarded_by demands the lock on every access, which would outlaw the
-//     documented lock-free reads (GAS resolve, stat counters).
+//     documented lock-free reads (LcoArena::triggered, stat counters).
 //   - *_locked() helpers take REQUIRES(mu) and never lock themselves.
 //   - Functions that must not be entered with a lock held (anything that
 //     can block on the network or on another capability) take EXCLUDES.

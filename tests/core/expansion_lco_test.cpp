@@ -1,9 +1,7 @@
-// Tests of the GAS-resident expansion-LCO machinery: trigger-once
-// semantics under concurrent inputs, late continuations, the expansion
-// wire codec, per-edge wire-format arithmetic, and the engine-level
-// guarantee that transport bytes equal serialized bytes.
-
-#include "core/expansion_lco.hpp"
+// Tests of the expansion-LCO machinery: trigger-once semantics under
+// concurrent inputs, late continuations, the expansion wire codec, per-edge
+// wire-format arithmetic, and the engine-level guarantee that transport
+// bytes equal serialized bytes.
 
 #include <gtest/gtest.h>
 
@@ -15,11 +13,12 @@
 #include "core/engine.hpp"
 #include "core/pipeline.hpp"
 #include "geom/distributions.hpp"
+#include "runtime/lco.hpp"
 
 namespace amtfmm {
 namespace {
 
-/// Minimal LCO with the ExpansionLCO contract instrumented: counts
+/// Minimal LCO with the expansion-LCO contract instrumented: counts
 /// reductions and on_fire invocations.
 class ProbeLCO final : public LCO {
  public:

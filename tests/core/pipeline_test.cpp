@@ -1,5 +1,5 @@
 // The resident evaluation pipeline: steady-state epochs reuse the tree +
-// DAG + GAS/LCO arena with zero allocations, repeat evaluations are
+// DAG + LCO arena with no new nodes, repeat evaluations are
 // bit-identical on a deterministic schedule, batched requests demux
 // exactly, and incremental geometry updates match a full rebuild.
 

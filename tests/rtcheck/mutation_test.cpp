@@ -14,7 +14,7 @@ namespace {
 
 constexpr Mutation kAll[] = {
     Mutation::kStealBottomLoadRelaxed,   Mutation::kLcoSetInputNoLock,
-    Mutation::kCoalescerCountAfterInsert, Mutation::kGasResolveRelaxed,
+    Mutation::kCoalescerCountAfterInsert, Mutation::kArenaInputNoLock,
     Mutation::kCountersCountEarly,
 };
 

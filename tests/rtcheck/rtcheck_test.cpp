@@ -33,6 +33,15 @@ TEST(RtCheck, LcoTriggerOnceExploresExhaustivelyAndPasses) {
   EXPECT_GE(rep.executions, 20u);
 }
 
+TEST(RtCheck, ArenaScenariosExploreExhaustivelyAndPass) {
+  for (const char* name : {"arena.trigger_once", "arena.rearm"}) {
+    const RtReport rep = run_dfs(name);
+    EXPECT_FALSE(rep.failed) << name << ": " << rep.message;
+    EXPECT_TRUE(rep.complete) << name;
+    EXPECT_GE(rep.executions, 20u) << name;
+  }
+}
+
 TEST(RtCheck, AllDfsFeasibleScenariosPassClean) {
   for (const Scenario& sc : all_scenarios()) {
     if (!sc.dfs_feasible || sc.expect_fail) continue;
@@ -119,7 +128,7 @@ TEST(RtCheck, ScheduleFormatRoundTrips) {
 TEST(RtCheck, EveryMutationNamesARegisteredScenario) {
   for (Mutation m :
        {Mutation::kStealBottomLoadRelaxed, Mutation::kLcoSetInputNoLock,
-        Mutation::kCoalescerCountAfterInsert, Mutation::kGasResolveRelaxed,
+        Mutation::kCoalescerCountAfterInsert, Mutation::kArenaInputNoLock,
         Mutation::kCountersCountEarly}) {
     const Scenario* sc = find_scenario(mutation_scenario(m));
     ASSERT_NE(sc, nullptr) << mutation_name(m);

@@ -131,6 +131,16 @@ TEST(ThreadExecutor, ScopedTraceRecordsOperatorEvents) {
   }
 }
 
+TEST(ThreadExecutor, ZeroSizesAreConfigErrors) {
+  EXPECT_THROW(ThreadExecutor(0, 1), config_error);
+  EXPECT_THROW(ThreadExecutor(1, 0), config_error);
+}
+
+TEST(SimExecutor, ZeroSizesAreConfigErrors) {
+  EXPECT_THROW(SimExecutor(0, 1), config_error);
+  EXPECT_THROW(SimExecutor(1, 0), config_error);
+}
+
 TEST(SimExecutor, VirtualTimeReflectsCoreCount) {
   // 8 unit-cost tasks on 2 cores -> ~4 virtual seconds; on 8 cores -> ~1.
   for (const auto& [cores, expect] : {std::pair{2, 4.0}, {8, 1.0}}) {

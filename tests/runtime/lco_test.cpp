@@ -4,7 +4,7 @@
 #include <chrono>
 #include <thread>
 
-#include "runtime/gas.hpp"
+#include "runtime/lco.hpp"
 #include "runtime/sim_executor.hpp"
 #include "runtime/thread_executor.hpp"
 
@@ -34,7 +34,7 @@ TEST(Lco, RearmRestartsTheTriggerOnceProtocol) {
 
   // Quiescent re-arm: the countdown restarts and the trigger clears, so a
   // second epoch of inputs fires the LCO once more.  Reduction state is
-  // the subclass's business and persists (ExpansionLCO::reset drops it).
+  // the subclass's business and persists.
   sum.rearm(2);
   EXPECT_FALSE(sum.triggered());
   std::atomic<int> fired{0};
@@ -197,24 +197,6 @@ TEST(Lco, FutureRoundTrip) {
   ex.drain();
 }
 
-TEST(Gas, AllocateAndResolvePerLocality) {
-  ThreadExecutor ex(3, 1);
-  Gas gas(3);
-  const GlobalAddress a = gas.alloc(1, std::make_unique<SumLCO>(ex, 1));
-  const GlobalAddress b = gas.alloc(1, std::make_unique<SumLCO>(ex, 1));
-  const GlobalAddress c = gas.alloc(2, std::make_unique<SumLCO>(ex, 1));
-  EXPECT_EQ(a.locality, 1u);
-  EXPECT_EQ(a.slot, 0u);
-  EXPECT_EQ(b.slot, 1u);
-  EXPECT_EQ(c.locality, 2u);
-  EXPECT_EQ(gas.objects_on(1), 2u);
-  EXPECT_EQ(gas.objects_on(0), 0u);
-  EXPECT_NE(gas.resolve(a), gas.resolve(b));
-  static_cast<SumLCO*>(gas.resolve(a))->add(7.0);
-  ex.drain();
-  EXPECT_DOUBLE_EQ(static_cast<SumLCO*>(gas.resolve(a))->value(), 7.0);
-}
-
 TEST(Lco, SentParcelsFeedAnLcoAtTheirTarget) {
   // The same three parcels on both executors: each runs on the locality
   // that owns the LCO, carries its value in the task, and counts as one
@@ -223,25 +205,24 @@ TEST(Lco, SentParcelsFeedAnLcoAtTheirTarget) {
   SimExecutor sim(2, 1);
   for (Executor* ex : {static_cast<Executor*>(&threads),
                        static_cast<Executor*>(&sim)}) {
-    Gas gas(2);
-    const GlobalAddress addr =
-        gas.alloc(1, std::make_unique<SumLCO>(*ex, 3));
+    constexpr std::uint32_t kHome = 1;  // the LCO lives on locality 1
+    SumLCO sum(*ex, 3);
     std::atomic<int> wrong_locality{0};
     for (int i = 1; i <= 3; ++i) {
       Task t;
       t.items = {{kClsNetwork, 1e-6}};  // virtual cost on the simulator
-      t.fn = [ex, &gas, addr, &wrong_locality, v = static_cast<double>(i)] {
-        if (ex->current_locality() != static_cast<int>(addr.locality)) {
+      t.fn = [ex, &sum, &wrong_locality, v = static_cast<double>(i)] {
+        if (ex->current_locality() != static_cast<int>(kHome)) {
           wrong_locality.fetch_add(1);
         }
-        static_cast<SumLCO*>(gas.resolve(addr))->add(v);
+        sum.add(v);
       };
-      ex->send(/*from=*/0, addr.locality, sizeof(double) + 32, std::move(t));
+      ex->send(/*from=*/0, kHome, sizeof(double) + 32, std::move(t));
     }
     ex->drain();
     EXPECT_EQ(wrong_locality.load(), 0);
-    EXPECT_TRUE(gas.resolve(addr)->triggered());
-    EXPECT_DOUBLE_EQ(static_cast<SumLCO*>(gas.resolve(addr))->value(), 6.0);
+    EXPECT_TRUE(sum.triggered());
+    EXPECT_DOUBLE_EQ(sum.value(), 6.0);
     EXPECT_EQ(ex->parcels_sent(), 3u);
   }
   EXPECT_GT(sim.now(), 0.0) << "simulated parcels take virtual time";

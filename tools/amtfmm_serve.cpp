@@ -1,14 +1,14 @@
 // amtfmm_serve: resident FMM-as-a-service driver.
 //
 // Stands up one EvalPipeline and evaluates it for many epochs on the SAME
-// tree + DAG + GAS/LCO arena: epoch 1 pays the build + instantiate cost,
+// tree + DAG + LCO arena: epoch 1 pays the build + instantiate cost,
 // every later epoch re-arms the arena in place.  Runs either in-process
 // (ThreadExecutor, --localities x --cores) or as one SPMD rank of a
 // socket world under tools/amtfmm_launch (net_config_from_env, exactly
 // like amtfmm_loopback).  The driver measures and checks:
 //
-//   1. steady state is allocation-free: gas_allocs_last_epoch() == 0 for
-//      every epoch >= 2 (hard failure otherwise);
+//   1. steady state instantiates no node: gas_allocs_last_epoch() == 0
+//      for every epoch >= 2 (hard failure otherwise);
 //   2. epoch-2 setup cost (arena re-arm) is a small fraction of the
 //      epoch-1 build (reported as reset_ratio; gated by
 //      scripts/check_bench_serve.py at 5%);
@@ -43,6 +43,7 @@
 #include "runtime/telemetry.hpp"
 #include "runtime/watchdog.hpp"
 #include "support/cli.hpp"
+#include "support/error.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/timer.hpp"
@@ -109,6 +110,7 @@ int run(int argc, char** argv) {
     net_mode = ncfg.world > 1;
   }
 
+  if (cli.i64("n") < 1) throw config_error("--n must be >= 1");
   const auto n = static_cast<std::size_t>(cli.i64("n"));
   const auto seed = static_cast<std::uint64_t>(cli.i64("seed"));
   const int epochs = std::max(2, static_cast<int>(cli.i64("epochs")));
@@ -254,8 +256,8 @@ int run(int argc, char** argv) {
   if (watchdog) watchdog->disarm();
   if (steady_allocs != 0) {
     std::fprintf(stderr,
-                 "SERVE FAIL: rank %u steady state allocated %" PRIu64
-                 " GAS objects (want 0)\n",
+                 "SERVE FAIL: rank %u steady state instantiated %" PRIu64
+                 " DAG nodes (want 0)\n",
                  rank, steady_allocs);
     ok = false;
   }
