@@ -12,8 +12,10 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,7 +23,7 @@
 #include "common.hpp"
 #include "core/engine.hpp"
 #include "kernels/kernel.hpp"
-#include "runtime/lco.hpp"
+#include "runtime/lco_arena.hpp"
 #include "runtime/net/transport.hpp"
 #include "runtime/sim_executor.hpp"
 #include "runtime/thread_executor.hpp"
@@ -49,14 +51,20 @@ void BM_SpawnDrain(benchmark::State& state) {
 }
 BENCHMARK(BM_SpawnDrain)->Arg(1000)->Arg(10000);
 
+// One node of in-degree N fed N inputs from the caller thread: the
+// uncontended cost of an arena input (stripe lock, reduction, countdown).
 void BM_LcoReduction(benchmark::State& state) {
   ThreadExecutor ex(1, 2);
   const int inputs = static_cast<int>(state.range(0));
+  LcoArena arena(ex, 1);
+  const std::uint32_t deg = static_cast<std::uint32_t>(inputs);
+  double sum = 0.0;
   for (auto _ : state) {
-    SumLCO sum(ex, inputs);
-    for (int i = 0; i < inputs; ++i) sum.add(1.0);
-    benchmark::DoNotOptimize(sum.triggered());
+    arena.rearm({&deg, 1});
+    for (int i = 0; i < inputs; ++i) arena.input(0, [&sum] { sum += 1.0; });
+    benchmark::DoNotOptimize(arena.triggered(0));
   }
+  benchmark::DoNotOptimize(sum);
   state.SetItemsProcessed(state.iterations() * inputs);
 }
 BENCHMARK(BM_LcoReduction)->Arg(100)->Arg(10000);
@@ -95,68 +103,80 @@ void BM_SimEventRate(benchmark::State& state) {
 }
 BENCHMARK(BM_SimEventRate)->Arg(10000)->Arg(100000);
 
-/// Coefficient-accumulating LCO with the engine's reduction shape: parses
-/// WireRecord kMain messages and adds into a vector under the lock.
-class CoeffSinkLCO final : public LCO {
- public:
-  CoeffSinkLCO(Executor& ex, int inputs) : LCO(ex, inputs) {}
-
- protected:
-  void reduce(std::span<const std::byte> data) override {
+/// The engine's reduction of one input message: parse its WireRecords and
+/// add each record's coefficients into the node's accumulator.  Runs under
+/// the node's stripe lock.
+void reduce_records(std::span<const std::byte> msg, CoeffVec& acc) {
+  std::size_t off = 0;
+  while (off < msg.size()) {
     WireRecord h;
-    std::memcpy(&h, data.data(), sizeof(h));
-    const auto* in =
-        reinterpret_cast<const cdouble*>(data.data() + sizeof(h));
-    if (acc_.size() < h.count) acc_.resize(h.count);
-    for (std::uint32_t i = 0; i < h.count; ++i) acc_[i] += in[i];
+    std::memcpy(&h, msg.data() + off, sizeof(h));
+    off += sizeof(h);
+    const auto* in = reinterpret_cast<const cdouble*>(msg.data() + off);
+    if (acc.size() < h.count) acc.resize(h.count);
+    for (std::uint32_t i = 0; i < h.count; ++i) acc[i] += in[i];
+    off += h.count * sizeof(cdouble);
   }
+}
 
- private:
-  CoeffVec acc_;
-};
-
-// Fan-in: N set_input calls, each carrying one wire-record message with a
-// coefficient payload, racing from every worker into one LCO — the
-// contention shape of a high-in-degree expansion node.
+// Fan-in: N inputs, each one wire-record message with a coefficient
+// payload, racing from every worker into one arena node — the contention
+// shape of a high-in-degree expansion node.
 void BM_LcoFanIn(benchmark::State& state) {
   const int inputs = 4096;
   const std::uint32_t coeffs = static_cast<std::uint32_t>(state.range(0));
   ThreadExecutor ex(1, 4);
-  std::vector<std::byte> msg;
+  struct Node {
+    LcoArena arena;
+    std::vector<std::byte> msg;
+    CoeffVec acc;
+  } node{LcoArena(ex, 1), {}, {}};
+  const std::uint32_t deg = inputs;
   const CoeffVec contribution(coeffs, cdouble(1.0, -1.0));
-  append_record(msg, Operator::kM2M, PayloadSlot::kMain, 0,
+  append_record(node.msg, Operator::kM2M, PayloadSlot::kMain, 0,
                 contribution.data(), coeffs * sizeof(cdouble), coeffs);
   for (auto _ : state) {
-    CoeffSinkLCO sink(ex, inputs);
+    node.arena.rearm({&deg, 1});
     for (int i = 0; i < inputs; ++i) {
       Task t;
-      t.fn = [&sink, &msg] { sink.set_input(msg); };
+      // One captured pointer keeps the closure in std::function's inline
+      // buffer, so the bench times the input, not a closure allocation.
+      t.fn = [&node] {
+        node.arena.input(0, [&node] { reduce_records(node.msg, node.acc); });
+      };
       ex.spawn(std::move(t));
     }
     ex.drain();
-    benchmark::DoNotOptimize(sink.triggered());
+    benchmark::DoNotOptimize(node.arena.triggered(0));
   }
   state.SetItemsProcessed(state.iterations() * inputs);
   state.SetBytesProcessed(state.iterations() * inputs *
-                          static_cast<std::int64_t>(msg.size()));
+                          static_cast<std::int64_t>(node.msg.size()));
 }
 BENCHMARK(BM_LcoFanIn)->Arg(1)->Arg(55)->Arg(220);
 
-// Fan-out: one trigger spawning N registered continuations — the shape of
-// a root expansion feeding a wide out-edge CSR.
+// Fan-out: the input that triggers a node spawns its N out-tasks from the
+// worker it runs on, as the engine's out-edge walk does — the shape of a
+// root expansion feeding a wide out-edge CSR.
 void BM_LcoFanOut(benchmark::State& state) {
   const int outs = static_cast<int>(state.range(0));
   ThreadExecutor ex(1, 4);
+  LcoArena arena(ex, 1);
+  const std::uint32_t deg = 1;
   std::atomic<int> hits{0};
   for (auto _ : state) {
     hits.store(0);
-    CoeffSinkLCO src(ex, 1);
-    for (int i = 0; i < outs; ++i) {
-      Task t;
-      t.fn = [&hits] { hits.fetch_add(1, std::memory_order_relaxed); };
-      src.register_continuation(std::move(t));
-    }
-    src.set_input(dep_record());
+    arena.rearm({&deg, 1});
+    Task in;
+    in.fn = [&] {
+      if (!arena.input(0, [] {})) return;
+      for (int i = 0; i < outs; ++i) {
+        Task t;
+        t.fn = [&hits] { hits.fetch_add(1, std::memory_order_relaxed); };
+        ex.spawn(std::move(t));
+      }
+    };
+    ex.spawn(std::move(in));
     ex.drain();
     benchmark::DoNotOptimize(hits.load());
   }

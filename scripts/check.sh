@@ -2,7 +2,10 @@
 # Full local gate, mirroring .github/workflows/ci.yml:
 #   1. invariant lint self-test, then the lint itself (threading /
 #      memory-order / payload / seed rules),
-#   2. Release build + complete test suite, plus the kernel/operator tests
+#   2. Release build + complete test suite (including the socket worlds:
+#      2- and 4-rank amtfmm_serve over unix and tcp, coalescing on and
+#      off, labelled multiprocess, and the Golden.* simulated figures),
+#      plus the kernel/operator tests
 #      re-run with AMTFMM_FORCE_ISA=scalar (SIMD dispatch pinned off),
 #      followed by the static concurrency contract when clang++ exists:
 #      -Wthread-safety -Werror build, tests/static try_compile proofs,
@@ -11,8 +14,8 @@
 #   4. Debug build of the multi-locality parity / LCO-semantics tests
 #      (assertions, the ownership and payload-release debug checks enabled),
 #   5. ThreadSanitizer build of the concurrency-sensitive targets,
-#      including the socket executor: net_executor_test, a 2-rank
-#      loopback (coalescing on and off) and a 2-rank resident serve,
+#      including the socket executor: net_executor_test and the 2-rank
+#      unix serve world (coalescing on and off),
 #   6. AddressSanitizer build (libstdc++ checked containers on) + complete
 #      test suite,
 #   7. UndefinedBehaviorSanitizer build + complete test suite,
@@ -25,11 +28,7 @@
 #      per-ISA SIMD kernel sweep gated by scripts/check_bench_kernels.py
 #      and the socket transport sweep gated by
 #      scripts/check_bench_transport.py,
-#  10. multi-process loopback: amtfmm_launch forks real socket localities
-#      (unix + tcp, 2 and 4 processes, coalescing on and off) and
-#      amtfmm_loopback asserts multi-process == in-process potentials at
-#      1e-12 and equal wire bytes in process, across ranks and simulated,
-#  11. resident-serve, telemetry and trace-export smokes, then a 2-second
+#  10. resident-serve, telemetry and trace-export smokes, then a 2-second
 #      fmmbench run of every BENCHMARK.json workload, failing on a nonzero
 #      exit, correct: false or failed > 0 (scripts/check_fmmbench.py).
 #
@@ -76,9 +75,8 @@ AMTFMM_FORCE_ISA=scalar ctest --test-dir build --output-on-failure \
 echo "== rtcheck: exhaustive DFS sweep =="
 ./build/tools/rtcheck --mode dfs
 echo "== rtcheck: seeded-mutation detection =="
-for m in steal-bottom-relaxed lco-set-input-no-lock \
-         coalescer-count-after-insert arena-input-no-lock \
-         counters-count-early; do
+for m in steal-bottom-relaxed coalescer-count-after-insert \
+         arena-input-no-lock counters-count-early; do
   ./build/tools/rtcheck --mutation "$m"
 done
 echo "== rtcheck: randomized (PCT) quick pass =="
@@ -96,7 +94,7 @@ cmake -B build-tsan -S . -DAMTFMM_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$JOBS" --target \
   ws_deque_test executor_test coalescer_test trace_test lco_arena_test \
   counters_test net_frame_test net_transport_test net_executor_test \
-  amtfmm_launch amtfmm_loopback amtfmm_serve
+  amtfmm_launch amtfmm_serve
 ./build-tsan/tests/runtime/ws_deque_test
 ./build-tsan/tests/runtime/executor_test
 ./build-tsan/tests/runtime/coalescer_test
@@ -106,13 +104,8 @@ cmake --build build-tsan -j"$JOBS" --target \
 ./build-tsan/tests/runtime/net_frame_test
 ./build-tsan/tests/runtime/net_transport_test
 ./build-tsan/tests/runtime/net_executor_test
-for coalesce in true false; do
-  ./build-tsan/tools/amtfmm_launch --np=2 --transport=unix --timeout=300 \
-    -- ./build-tsan/tools/amtfmm_loopback --n=2000 --cores=2 --repeat=3 \
-    --coalesce="$coalesce"
-done
-./build-tsan/tools/amtfmm_launch --np=2 --transport=unix --timeout=300 \
-  -- ./build-tsan/tools/amtfmm_serve --n=2000 --epochs=4 --cores=2
+ctest --test-dir build-tsan --output-on-failure \
+  -R '^Serve\.unix_np2(_nocoalesce)?$'
 
 echo "== AddressSanitizer build + full test suite =="
 cmake -B build-asan -S . -DAMTFMM_SANITIZE=address >/dev/null
@@ -165,17 +158,6 @@ echo "== Socket transport sweep (BENCH_transport.json) =="
   --transport-json build/bench-smoke/BENCH_transport.json
 python3 scripts/check_bench_transport.py \
   build/bench-smoke/BENCH_transport.json
-
-echo "== Multi-process loopback (real socket localities) =="
-for np in 2 4; do
-  for transport in unix tcp; do
-    for coalesce in true false; do
-      ./build/tools/amtfmm_launch --np="$np" --transport="$transport" \
-        --timeout=120 -- ./build/tools/amtfmm_loopback --n=3000 --cores=2 \
-        --coalesce="$coalesce"
-    done
-  done
-done
 
 echo "== Resident pipeline steady state (BENCH_serve.json) =="
 ./build/tools/amtfmm_serve --n=4000 --epochs=6 --localities=2 --cores=2 \

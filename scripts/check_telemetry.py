@@ -8,9 +8,10 @@ Drives real binaries (no mocks) through four scenarios:
      hold samples from EVERY rank, and `amtfmm_top --once --prom` scraped
      from it must satisfy the Prometheus text-exposition grammar and
      expose the expected metric families;
-  2. cross-rank trace merge: a 2-process amtfmm_loopback writes per-rank
-     traces; `trace_report --merge` must exit 0 with no negative
-     cross-rank flows and sub-millisecond clock uncertainty;
+  2. cross-rank trace merge: a 2-process amtfmm_serve writes per-rank
+     traces of its resident epochs; `trace_report --merge` must exit 0
+     with no negative cross-rank flows and sub-millisecond clock
+     uncertainty;
   3. forced watchdog dump: amtfmm_serve with an injected stall and a
      shorter watchdog timeout must leave a loadable flight dump whose
      reason names the watchdog;
@@ -106,11 +107,11 @@ def check_trace_merge(tools, args, violations):
         r = run([
             tools / "amtfmm_launch", "--np=2", "--transport=unix",
             "--timeout=300", "--",
-            tools / "amtfmm_loopback", f"--n={args.n}", "--cores=2",
-            f"--trace-out={d / 'trace'}",
+            tools / "amtfmm_serve", f"--n={args.n}", "--epochs=2",
+            "--cores=2", f"--trace-out={d / 'trace'}",
         ])
         if r.returncode != 0:
-            violations.append(f"2-process traced loopback exited {r.returncode}")
+            violations.append(f"2-process traced serve exited {r.returncode}")
             return
         r = run([
             tools / "trace_report", f"--merge={d / 'merged.json'}",

@@ -81,7 +81,6 @@ EvalPipeline::EvalPipeline(Kernel& kernel, const EvalConfig& cfg,
   ex_->trace().set_enabled(cfg_.trace);
   ex_->counters().set_enabled(cfg_.counters);
   build(src_pts_, tgt_pts_);
-  snapshot_baseline();
 }
 
 EvalPipeline::~EvalPipeline() = default;
@@ -107,19 +106,18 @@ void EvalPipeline::rebuild() {
   model_ = PreparedModel{};
   build(src_pts_, tgt_pts_);
   ++rebuilds_;
-  snapshot_baseline();
-}
-
-void EvalPipeline::snapshot_baseline() {
-  bytes_base_ = ex_->bytes_sent();
-  parcels_base_ = ex_->parcels_sent();
-  comm_base_ = ex_->comm_stats();
 }
 
 EvalResult EvalPipeline::evaluate(std::span<const double> charges) {
   // A cost-only epoch takes no charges and produces no potentials.
   AMTFMM_ASSERT(charges.size() ==
                 (cost_ ? 0 : model_.tree.source.num_points()));
+  // The executor's transport counters are cumulative and may move between
+  // epochs (a parcel sent on a shared executor), so the epoch's deltas are
+  // taken against a baseline read here.
+  const std::uint64_t bytes_base = ex_->bytes_sent();
+  const std::uint64_t parcels_base = ex_->parcels_sent();
+  const CommStats comm_base = ex_->comm_stats();
   EvalResult out;
   // The DAG changes only in build, rebuild and incremental refresh; each
   // clears the cached stats, so an epoch recomputes them only after one.
@@ -145,15 +143,13 @@ EvalResult EvalPipeline::evaluate(std::span<const double> charges) {
     out.potentials[tperm[i]] = sorted_phi_[i];
   }
 
-  out.bytes_sent = ex_->bytes_sent() - bytes_base_;
-  out.parcels_sent = ex_->parcels_sent() - parcels_base_;
+  out.bytes_sent = ex_->bytes_sent() - bytes_base;
+  out.parcels_sent = ex_->parcels_sent() - parcels_base;
   out.wire_bytes = engine_->wire_bytes();
   // Per-epoch form of the transport identity: this epoch serialized
-  // exactly the bytes it handed to the transport (the executor counters
-  // are cumulative, hence the baseline deltas).
+  // exactly the bytes it handed to the transport.
   AMTFMM_ASSERT(out.wire_bytes == out.bytes_sent);
-  out.comm = diff_comm(ex_->comm_stats(), comm_base_);
-  snapshot_baseline();
+  out.comm = diff_comm(ex_->comm_stats(), comm_base);
 
   if (cfg_.trace) {
     // Trace buffers accumulate across epochs; exports carry the epoch

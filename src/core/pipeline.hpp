@@ -63,9 +63,10 @@ struct PipelineUpdateStats {
 /// epochs:
 ///
 ///  - the executor (worker pool, socket mesh or simulator) stays up;
-///    per-epoch transport statistics are deltas against a baseline
-///    snapshot, so the wire_bytes == bytes_sent identity holds per epoch on
-///    a shared executor,
+///    per-epoch transport statistics are deltas against the executor's
+///    counters at the start of the epoch, so the wire_bytes == bytes_sent
+///    identity holds per epoch on a shared executor, also when the caller
+///    sends its own parcels between epochs,
 ///  - the DagEngine is resident: epoch 1 instantiates the LCO arena, every
 ///    later epoch re-arms it in place and replays the leaf seeds — no node
 ///    is instantiated in steady state,
@@ -160,7 +161,6 @@ class EvalPipeline {
   void build(std::span<const Vec3> sources, std::span<const Vec3> targets);
   void rebuild();
   PipelineUpdateStats apply_update(bool source_side, const PipelineUpdate& u);
-  void snapshot_baseline();
 
   /// The owning constructor's body: runs on `owned` and keeps it.
   EvalPipeline(Kernel& kernel, const EvalConfig& cfg,
@@ -181,11 +181,6 @@ class EvalPipeline {
   double setup_seconds_ = 0.0;
   std::uint64_t rebuilds_ = 0;
   std::vector<double> epoch_starts_;
-  /// Per-epoch transport baselines (the executor's counters are
-  /// cumulative; the engine's wire count is per-execute).
-  std::uint64_t bytes_base_ = 0;
-  std::uint64_t parcels_base_ = 0;
-  CommStats comm_base_;
 };
 
 }  // namespace amtfmm

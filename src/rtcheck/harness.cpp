@@ -25,8 +25,6 @@ const char* mutation_name(Mutation m) {
       return "none";
     case Mutation::kStealBottomLoadRelaxed:
       return "steal-bottom-relaxed";
-    case Mutation::kLcoSetInputNoLock:
-      return "lco-set-input-no-lock";
     case Mutation::kCoalescerCountAfterInsert:
       return "coalescer-count-after-insert";
     case Mutation::kArenaInputNoLock:
@@ -40,8 +38,8 @@ const char* mutation_name(Mutation m) {
 Mutation mutation_from_name(const std::string& name) {
   for (Mutation m :
        {Mutation::kNone, Mutation::kStealBottomLoadRelaxed,
-        Mutation::kLcoSetInputNoLock, Mutation::kCoalescerCountAfterInsert,
-        Mutation::kArenaInputNoLock, Mutation::kCountersCountEarly}) {
+        Mutation::kCoalescerCountAfterInsert, Mutation::kArenaInputNoLock,
+        Mutation::kCountersCountEarly}) {
     if (name == mutation_name(m)) return m;
   }
   if (name.empty()) return Mutation::kNone;
@@ -54,8 +52,6 @@ const char* mutation_scenario(Mutation m) {
       return "";
     case Mutation::kStealBottomLoadRelaxed:
       return "deque.steal_vs_pop";
-    case Mutation::kLcoSetInputNoLock:
-      return "lco.trigger_once";
     case Mutation::kCoalescerCountAfterInsert:
       return "coalescer.flush_vs_enqueue";
     case Mutation::kArenaInputNoLock:
@@ -84,8 +80,6 @@ const char* sync_kind_name(SyncKind k) {
       return "lco-fire";
     case SyncKind::kLcoRearm:
       return "lco-rearm";
-    case SyncKind::kLcoContinuation:
-      return "lco-continuation";
     case SyncKind::kBatchEnqueue:
       return "batch-enqueue";
     case SyncKind::kBatchFlush:

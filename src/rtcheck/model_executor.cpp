@@ -16,7 +16,6 @@ ModelExecutor::ModelExecutor(int localities) : localities_(localities) {
 void ModelExecutor::spawn(Task t) {
   std::lock_guard lk(mu_);
   queue_.push_back(std::move(t));
-  ++spawned_total_;
 }
 
 void ModelExecutor::send(std::uint32_t from, std::uint32_t to,

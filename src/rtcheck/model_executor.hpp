@@ -26,13 +26,10 @@ class ModelExecutor final : public Executor {
   double drain() override;
   double now() const override { return 0.0; }
 
-  std::size_t spawned_total() const { return spawned_total_; }
-
  private:
   int localities_;
   mutable SyncMutex mu_;
   std::deque<Task> queue_;
-  std::size_t spawned_total_ = 0;
 };
 
 }  // namespace amtfmm::rtcheck

@@ -1,5 +1,6 @@
 #include <array>
-#include <cstring>
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <span>
@@ -10,13 +11,12 @@
 #include "rtcheck/model_executor.hpp"
 #include "runtime/coalescer.hpp"
 #include "runtime/counters.hpp"
-#include "runtime/lco.hpp"
 #include "runtime/lco_arena.hpp"
 #include "runtime/ws_deque.hpp"
 
 // The scenario suites: each builds fresh runtime objects per execution and
 // runs *unmodified* runtime code on the harness's model threads; the sync
-// hooks inside WsDeque/LCO/LcoArena/ParcelCoalescer/CounterRegistry are the
+// hooks inside WsDeque/LcoArena/ParcelCoalescer/CounterRegistry are the
 // schedule points.  Scenario-owned payloads are declared to the checker via
 // ScenarioContext::plain_read/plain_write so the happens-before verifier
 // covers the ownership-transfer edges the structures promise.
@@ -28,33 +28,6 @@ namespace {
 struct DequeItem {
   int payload = 0;
 };
-
-/// LCO whose reduction writes a plain accumulator, making the "reductions
-/// are serialized per LCO" promise visible to the happens-before checker.
-class ProbeLco final : public LCO {
- public:
-  ProbeLco(Executor& ex, int inputs) : LCO(ex, inputs) {}
-
-  void add(int v) { set_input(std::as_bytes(std::span<const int>(&v, 1))); }
-  int total() const { return total_; }
-
- protected:
-  void reduce(std::span<const std::byte> data) override {
-    int v = 0;
-    std::memcpy(&v, data.data(), sizeof v);
-    sync_plain_write(&total_);
-    total_ += v;
-  }
-
- private:
-  int total_ = 0;
-};
-
-Task make_task(std::function<void()> fn) {
-  Task t;
-  t.fn = std::move(fn);
-  return t;
-}
 
 CoalesceConfig coalesce_cfg() {
   CoalesceConfig cfg;
@@ -240,103 +213,6 @@ Scenario deque_stress() {
   return s;
 }
 
-Scenario lco_trigger_once() {
-  Scenario s;
-  s.name = "lco.trigger_once";
-  s.summary =
-      "two threads race set_input on a 2-input LCO — verifies the LCO fires "
-      "exactly once and the reductions are serialized under the LCO lock";
-  s.make = [](ScenarioContext& ctx) {
-    struct St {
-      ModelExecutor ex;
-      ProbeLco lco{ex, 2};
-      int continuation_runs = 0;
-    };
-    auto st = std::make_shared<St>();
-    ctx.label(&st->lco, "lco");
-    // The continuation lives inside st->lco, so it must not own st: that
-    // cycle leaks St whenever a seeded mutation keeps the LCO from firing.
-    St* const raw = st.get();
-    st->lco.register_continuation(
-        make_task([raw] { ++raw->continuation_runs; }));
-    ScenarioRun run;
-    for (int t = 0; t < 2; ++t) {
-      run.bodies.push_back([st] { st->lco.add(1); });
-    }
-    run.finish = [st, &ctx] {
-      st->ex.drain();
-      ctx.check(st->lco.triggered(), "LCO did not trigger");
-      ctx.check(st->lco.total() == 2, "a reduction was lost");
-      ctx.check(st->continuation_runs == 1,
-                "continuation ran " + std::to_string(st->continuation_runs) +
-                    " times");
-    };
-    return run;
-  };
-  return s;
-}
-
-Scenario lco_late_continuation() {
-  Scenario s;
-  s.name = "lco.late_continuation";
-  s.summary =
-      "register_continuation races the fire — verifies the continuation "
-      "runs exactly once whether it registered before or after the trigger";
-  s.make = [](ScenarioContext& ctx) {
-    struct St {
-      ModelExecutor ex;
-      ProbeLco lco{ex, 1};
-      int continuation_runs = 0;
-    };
-    auto st = std::make_shared<St>();
-    ctx.label(&st->lco, "lco");
-    ScenarioRun run;
-    run.bodies.push_back([st] { st->lco.add(7); });
-    run.bodies.push_back([st] {
-      st->lco.register_continuation(
-          make_task([st] { ++st->continuation_runs; }));
-    });
-    run.finish = [st, &ctx] {
-      st->ex.drain();
-      ctx.check(st->lco.triggered(), "LCO did not trigger");
-      ctx.check(st->continuation_runs == 1,
-                "continuation ran " + std::to_string(st->continuation_runs) +
-                    " times");
-    };
-    return run;
-  };
-  return s;
-}
-
-Scenario lco_wait_vs_fire() {
-  Scenario s;
-  s.name = "lco.wait_vs_fire";
-  s.summary =
-      "a waiter blocks on the LCO condition variable while another thread "
-      "delivers the final input — a lost wakeup shows up as a model deadlock";
-  s.make = [](ScenarioContext& ctx) {
-    struct St {
-      ModelExecutor ex;
-      ProbeLco lco{ex, 1};
-      bool woke = false;
-    };
-    auto st = std::make_shared<St>();
-    ctx.label(&st->lco, "lco");
-    ScenarioRun run;
-    run.bodies.push_back([st] {
-      st->lco.wait();
-      st->woke = true;
-    });
-    run.bodies.push_back([st] { st->lco.add(1); });
-    run.finish = [st, &ctx] {
-      ctx.check(st->woke, "waiter did not wake");
-      ctx.check(st->lco.total() == 1, "reduction lost");
-    };
-    return run;
-  };
-  return s;
-}
-
 Scenario coalescer_flush_vs_enqueue() {
   Scenario s;
   s.name = "coalescer.flush_vs_enqueue";
@@ -508,6 +384,68 @@ Scenario arena_rearm() {
   return s;
 }
 
+Scenario park_sleep_vs_wake() {
+  Scenario s;
+  s.name = "park.sleep_vs_wake";
+  s.summary =
+      "ThreadExecutor's park/wake shape: a worker counts itself a sleeper, "
+      "re-checks for work under the idle mutex and waits on the idle "
+      "condvar while a producer publishes a task and wakes sleepers — a "
+      "lost wakeup shows up as a model deadlock";
+  s.make = [](ScenarioContext& ctx) {
+    struct St {
+      SyncMutex idle_mu;
+      SyncCondVar idle_cv;
+      std::atomic<int> sleepers{0};
+      std::atomic<int> queued{0};
+      std::uint64_t wake_epoch = 0;  ///< under idle_mu
+      int task = 0;                  ///< the published work item
+      int taken = -1;
+    };
+    auto st = std::make_shared<St>();
+    ctx.label(&st->idle_mu, "idle_mu");
+    ctx.label(&st->idle_cv, "idle_cv");
+    ctx.label(&st->sleepers, "sleepers");
+    ctx.label(&st->queued, "queued");
+    ctx.label(&st->task, "task");
+    ScenarioRun run;
+    run.bodies.push_back([st, &ctx] {  // T0: an idle worker parks
+      {
+        SyncUniqueLock lk(st->idle_mu);
+        hooked_fetch_add(st->sleepers, 1, std::memory_order_seq_cst);
+        // The re-check after announcing itself: either the producer sees
+        // the sleeper or the sleeper sees the work.
+        if (hooked_load(st->queued, std::memory_order_seq_cst) == 0) {
+          const std::uint64_t e = st->wake_epoch;
+          while (st->wake_epoch == e) st->idle_cv.wait(lk);
+        }
+        // relaxed-ok: retracting the announcement orders nothing.
+        hooked_fetch_sub(st->sleepers, 1, std::memory_order_relaxed);
+      }
+      ctx.check(hooked_load(st->queued, std::memory_order_acquire) == 1,
+                "worker woke without work");
+      ctx.plain_read(&st->task);
+      st->taken = st->task;
+    });
+    run.bodies.push_back([st, &ctx] {  // T1: a producer spawns
+      ctx.plain_write(&st->task);
+      st->task = 42;
+      hooked_fetch_add(st->queued, 1, std::memory_order_seq_cst);
+      if (hooked_load(st->sleepers, std::memory_order_seq_cst) == 0) return;
+      {
+        SyncLockGuard lk(st->idle_mu);
+        ++st->wake_epoch;
+      }
+      st->idle_cv.notify_all();
+    });
+    run.finish = [st, &ctx] {
+      ctx.check(st->taken == 42, "the published task was not taken");
+    };
+    return run;
+  };
+  return s;
+}
+
 Scenario counters_snapshot_consistency() {
   Scenario s;
   s.name = "counters.snapshot_consistency";
@@ -622,54 +560,13 @@ Scenario selfcheck_deadlock() {
   return s;
 }
 
-Scenario serve_lco_reset_epoch() {
-  Scenario s;
-  s.name = "serve.lco_reset_epoch";
-  s.summary =
-      "two threads race the final inputs of epoch 1, then the boundary "
-      "re-arms the LCO and delivers epoch 2 — verifies rearm() resets the "
-      "trigger-once state without tripping the double-fire detector";
-  s.make = [](ScenarioContext& ctx) {
-    struct St {
-      ModelExecutor ex;
-      ProbeLco lco{ex, 2};
-      int continuation_runs = 0;
-    };
-    auto st = std::make_shared<St>();
-    ctx.label(&st->lco, "lco");
-    st->lco.register_continuation(make_task([st] { ++st->continuation_runs; }));
-    ScenarioRun run;
-    for (int t = 0; t < 2; ++t) {
-      run.bodies.push_back([st] { st->lco.add(1); });
-    }
-    run.finish = [st, &ctx] {
-      st->ex.drain();
-      ctx.check(st->lco.triggered(), "epoch 1 did not trigger");
-      ctx.check(st->lco.total() == 2, "an epoch-1 reduction was lost");
-      // Epoch boundary: the transport is drained (bodies joined), so the
-      // re-arm is legal; the detector's budget resets to one fire.
-      st->lco.rearm(2);
-      ctx.check(!st->lco.triggered(), "rearm left the LCO triggered");
-      st->lco.add(1);
-      st->lco.add(1);
-      st->ex.drain();
-      ctx.check(st->lco.triggered(), "epoch 2 did not trigger");
-      ctx.check(st->lco.total() == 4, "an epoch-2 reduction was lost");
-      ctx.check(st->continuation_runs == 1,
-                "epoch-1 continuation ran " +
-                    std::to_string(st->continuation_runs) + " times");
-    };
-    return run;
-  };
-  return s;
-}
-
 Scenario serve_reset_vs_late_input() {
   Scenario s;
   s.name = "serve.reset_vs_late_input";
   s.summary =
       "an epoch re-arm races a straggler fire from the previous epoch "
-      "(modeled as raw sync events: set_input on real LCOs aborts) — the "
+      "(modeled as raw sync events: an input to a triggered arena node "
+      "aborts) — the "
       "detector must reach a schedule where the late fire lands after the "
       "re-arm and charge it to the new epoch's once-only budget";
   s.expect_fail = true;
@@ -700,43 +597,43 @@ Scenario serve_epoch_quiescence() {
   s.dfs_feasible = false;
   s.make = [](ScenarioContext& ctx) {
     struct St {
-      ModelExecutor ex;
       ParcelCoalescer co{2, coalesce_cfg()};
-      ProbeLco lco{ex, 1};
+      ArenaProbe node;
       std::size_t flushed = 0;
       bool rearmed = false;
+      explicit St(ScenarioContext& c) : node(c, {1}) {}
     };
-    auto st = std::make_shared<St>();
+    auto st = std::make_shared<St>(ctx);
     ctx.label(&st->co, "coalescer");
-    ctx.label(&st->lco, "lco");
     ScenarioRun run;
-    run.bodies.push_back([st] { st->lco.add(1); });  // epoch-1 final input
-    run.bodies.push_back([st] {                      // epoch-1 parcel traffic
+    run.bodies.push_back(  // epoch-1 final input
+        [st, &ctx] { st->node.add(ctx, 0, 1); });
+    run.bodies.push_back([st] {  // epoch-1 parcel traffic
       st->co.enqueue(0, 1, 16, Task{}, 0.0);
       st->co.enqueue(0, 1, 16, Task{}, 0.0);
     });
     run.bodies.push_back([st] {  // boundary: only past a quiescent transport
-      if (!st->lco.triggered()) return;  // epoch 1 still running
+      if (!st->node.arena.triggered(0)) return;  // epoch 1 still running
       if (st->co.pending_from(0)) {
         for (auto& b : st->co.take_all_from(0)) {
           st->flushed += b.tasks.size();
         }
       }
-      st->lco.rearm(1);
+      const std::uint32_t deg = 1;
+      st->node.arena.rearm({&deg, 1});
       st->rearmed = true;
     });
     run.finish = [st, &ctx] {
-      st->ex.drain();
       std::size_t total = st->flushed;
       for (auto& b : st->co.take_all()) total += b.tasks.size();
       ctx.check(total == 2, "parcels lost across the epoch boundary");
       if (st->rearmed) {
-        st->lco.add(1);  // epoch 2 on the re-armed LCO
-        st->ex.drain();
-        ctx.check(st->lco.triggered(), "epoch 2 did not trigger");
-        ctx.check(st->lco.total() == 2, "an epoch-2 reduction was lost");
+        st->node.add(ctx, 0, 1);  // epoch 2 on the re-armed node
+        ctx.check(st->node.arena.triggered(0), "epoch 2 did not trigger");
+        ctx.check(st->node.fires[0] == 2 && st->node.total[0] == 2,
+                  "an epoch-2 reduction was lost");
       } else {
-        ctx.check(st->lco.triggered() && st->lco.total() == 1,
+        ctx.check(st->node.arena.triggered(0) && st->node.total[0] == 1,
                   "epoch 1 lost its reduction");
       }
     };
@@ -752,15 +649,12 @@ const std::vector<Scenario>& all_scenarios() {
       deque_steal_vs_pop(),
       deque_two_thieves(),
       deque_stress(),
-      lco_trigger_once(),
-      lco_late_continuation(),
-      lco_wait_vs_fire(),
       coalescer_flush_vs_enqueue(),
       coalescer_quiescence(),
       arena_trigger_once(),
       arena_rearm(),
+      park_sleep_vs_wake(),
       counters_snapshot_consistency(),
-      serve_lco_reset_epoch(),
       serve_reset_vs_late_input(),
       serve_epoch_quiescence(),
       selfcheck_double_fire(),

@@ -200,12 +200,6 @@ class Executor {
 /// Returns -1 outside a worker.
 int current_worker();
 
-namespace detail {
-/// Binds the calling thread to a worker id for current_worker().
-/// Executor implementations only; pass -1 to unbind.
-void set_current_worker(int w);
-}  // namespace detail
-
 /// Records a trace event on the current worker using the executor clock.
 /// No-op when tracing is disabled or called outside a worker.
 class ScopedTrace {

@@ -48,7 +48,6 @@ class FlightRecorder {
   /// Where dump() writes.  Copied into a fixed internal buffer so the
   /// crash path never allocates; over-long paths are truncated.
   void set_dump_path(const std::string& path);
-  const char* dump_path() const { return path_; }
 
   /// Identity + clock metadata embedded in the dump so merged multi-rank
   /// flight dumps can be aligned like regular traces.
@@ -74,7 +73,7 @@ class FlightRecorder {
   /// never deadlock the signal handler.
   void record_comm(const CommEvent& e);
 
-  /// Writes the ring contents to dump_path() as a Chrome trace (JSON),
+  /// Writes the ring contents to the dump path as a Chrome trace (JSON),
   /// with `reason` in the metadata.  Avoids allocation and stdio streams:
   /// snprintf into a fixed buffer + write(2), so it is safe to call from
   /// a fatal-signal handler.  Returns false when the file cannot be

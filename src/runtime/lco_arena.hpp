@@ -27,9 +27,9 @@ namespace amtfmm {
 /// few dozen, the lines ping-pong between cores on fine-grain DAGs.  The
 /// arena owns every piece of concurrency the dataflow needs; what an input
 /// carries, and where its reduction lands, is the caller's business.  The
-/// fire bookkeeping of LCO::fire happens here too: the lco.input_wait_us
-/// sample, the kLcoFire trace instant, and the rtcheck protocol events
-/// (kLcoInput, kLcoFire, kLcoRearm keyed on the node's countdown).
+/// fire bookkeeping happens here too: the lco.input_wait_us sample, the
+/// kLcoFire trace instant, and the rtcheck protocol events (kLcoInput,
+/// kLcoFire, kLcoRearm keyed on the node's countdown).
 class LcoArena {
  public:
   static constexpr std::uint32_t kStripes = 4096;
@@ -47,8 +47,8 @@ class LcoArena {
   std::size_t size() const { return n_; }
 
   /// Re-arms node i's countdown to in_degree[i] for every node, in one
-  /// pass.  NOT thread safe with respect to input(): like LCO::rearm, the
-  /// caller guarantees quiescence (executor drained, no in-flight inputs).
+  /// pass.  NOT thread safe with respect to input(): the caller guarantees
+  /// quiescence (executor drained, no in-flight inputs).
   void rearm(std::span<const std::uint32_t> in_degree);
 
   bool triggered(std::uint32_t i) const {

@@ -56,12 +56,6 @@ class NetExecutor final : public ThreadExecutor {
 
   std::uint32_t rank() const { return cfg_.rank; }
   std::uint32_t world() const { return cfg_.world; }
-  const NetStats& net_stats() const { return transport_.stats(); }
-
-  /// Startup clock-sync result against rank 0 (identity on rank 0).
-  /// Measured once right after the mesh comes up; feeds trace metadata so
-  /// merged multi-rank timelines can be offset-corrected.
-  ClockSyncResult clock_sync_result() const { return clock_sync_; }
 
   /// Best-effort telemetry side channel (see NetTransport::post_telemetry
   /// — bypasses the injection window and all termination accounting).
@@ -115,7 +109,10 @@ class NetExecutor final : public ThreadExecutor {
 
   NetConfig cfg_;
   NetTransport transport_;
-  ClockSyncResult clock_sync_;  ///< measured once in the constructor
+  /// Clock-sync result against rank 0 (identity on rank 0), measured once
+  /// right after the mesh comes up; trace_clock() carries it so merged
+  /// multi-rank timelines can be offset-corrected.
+  ClockSyncResult clock_sync_;
 
   SyncMutex handlers_mu_;
   SyncCondVar handlers_cv_;

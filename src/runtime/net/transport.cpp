@@ -332,10 +332,9 @@ void NetTransport::set_on_telemetry(TelemetryFn fn) {
 ClockSyncResult NetTransport::clock_sync(int rounds) {
   if (cfg_.world == 1 || cfg_.rank == 0) {
     // Rank 0 IS the reference timeline; nothing to estimate.
-    SyncLockGuard lk(sync_mu_);
-    sync_result_ = ClockSyncResult{};
-    sync_result_.samples = 1;
-    return sync_result_;
+    ClockSyncResult identity;
+    identity.samples = 1;
+    return identity;
   }
   ClockSyncResult best;
   std::uint64_t best_rtt = ~0ull;
@@ -378,18 +377,7 @@ ClockSyncResult NetTransport::clock_sync(int rounds) {
     }
     ++best.samples;
   }
-  SyncLockGuard lk(sync_mu_);
-  sync_result_ = best;
   return best;
-}
-
-ClockSyncResult NetTransport::clock_offset() const {
-  SyncLockGuard lk(sync_mu_);
-  return sync_result_;
-}
-
-void NetTransport::allow_peer_close() {
-  peer_close_ok_.store(true, std::memory_order_relaxed);
 }
 
 void NetTransport::stop() {
@@ -553,8 +541,7 @@ void NetTransport::on_peer_closed(std::uint32_t rank) {
     outboxes_[rank].clear();
     window_cv_.notify_all();
   }
-  if (!p.said_goodbye && !peer_close_ok_.load(std::memory_order_relaxed) &&
-      !stop_requested_.load(std::memory_order_relaxed)) {
+  if (!p.said_goodbye && !stop_requested_.load(std::memory_order_relaxed)) {
     fail("rank " + std::to_string(rank) +
          " closed its connection unexpectedly (peer died?)");
   }

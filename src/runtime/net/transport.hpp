@@ -93,8 +93,8 @@ struct ClockSyncResult {
 ///  - Control frames bypass the window: the termination protocol must
 ///    make progress even when the window is saturated with batches.
 ///
-/// Failure model: a peer closing its connection before allow_peer_close()
-/// — or any malformed byte stream — moves the transport into a sticky
+/// Failure model: a peer closing its connection without a goodbye — or
+/// any malformed byte stream — moves the transport into a sticky
 /// failed state, unblocks all posters (their frames are dropped), and
 /// invokes on_failure once.  The owner surfaces the error from drain();
 /// quiescence is never waited on a dead mesh.
@@ -143,15 +143,8 @@ class NetTransport {
   /// Runs the ping/pong clock-sync exchange against rank 0 (`rounds`
   /// sequential round trips, midpoint estimation, min-RTT sample wins).
   /// On rank 0 / world 1 this is a no-op identity result.  Safe to call
-  /// any time after start(); the result is cached for clock_offset().
+  /// any time after start().
   ClockSyncResult clock_sync(int rounds = 8);
-
-  /// Last clock_sync() result (identity before the first call).
-  ClockSyncResult clock_offset() const;
-
-  /// From now on a peer closing its connection is expected (the world has
-  /// agreed to terminate), not a failure.
-  void allow_peer_close();
 
   /// Flushes queued frames, stops the progress thread, closes the mesh.
   /// Idempotent; called by the destructor.
@@ -230,7 +223,6 @@ class NetTransport {
   std::string failure_ GUARDED_BY(mu_);
   std::atomic<bool> failed_{false};
   std::atomic<bool> stop_requested_{false};
-  std::atomic<bool> peer_close_ok_{false};
   bool started_ = false;
 
   /// Clock-sync rendezvous between the caller of clock_sync() (worker
@@ -244,7 +236,6 @@ class NetTransport {
   /// Local steady ns at pong receipt.
   std::uint64_t sync_pong_recv_ GUARDED_BY(sync_mu_) = 0;
   bool sync_pong_valid_ GUARDED_BY(sync_mu_) = false;
-  ClockSyncResult sync_result_ GUARDED_BY(sync_mu_);
 };
 
 }  // namespace amtfmm::net

@@ -24,10 +24,9 @@ enum class SyncKind : std::uint8_t {
   kAtomicRmw,
   kPlainRead,   ///< non-atomic shared read (happens-before checked)
   kPlainWrite,  ///< non-atomic shared write (happens-before checked)
-  kLcoInput,    ///< LCO::set_input applied one input
+  kLcoInput,    ///< LcoArena::input applied one input to a node
   kLcoFire,     ///< LCO fired (must be at most once per object)
   kLcoRearm,    ///< LCO re-armed for a new epoch (resets trigger-once)
-  kLcoContinuation,  ///< continuation registered or late-spawned
   kBatchEnqueue,     ///< parcel appended to a coalescing buffer
   kBatchFlush,       ///< parcels drained from a coalescing buffer
   kPendingRaise,     ///< coalescer emptiness-probe counter raised
@@ -50,8 +49,6 @@ enum class Mutation : std::uint8_t {
   /// longer acquires the owner's slot publication, so item-payload accesses
   /// race.
   kStealBottomLoadRelaxed,
-  /// LCO::set_input skips the LCO lock: concurrent reduce() calls race.
-  kLcoSetInputNoLock,
   /// ParcelCoalescer::enqueue raises pending_per_src_ after inserting into
   /// the buffer instead of before, so emptiness probes can under-report.
   kCoalescerCountAfterInsert,
@@ -272,7 +269,6 @@ class SCOPED_CAPABILITY SyncUniqueLock {
     owned_ = false;
   }
 
-  bool owns_lock() const { return owned_; }
   SyncMutex* mutex() const { return m_; }
 
  private:
@@ -290,10 +286,9 @@ class SCOPED_CAPABILITY SyncUniqueLock {
 /// Under the rtcheck model scheduler, waiting registers the thread with
 /// the model *before* releasing the lock (so a notify between release and
 /// block is never lost) and blocks on the model; a wait with no reachable
-/// notify is reported as a deadlock (lost wakeup).  notify_one wakes all
-/// model waiters (the model then explores the re-race for the lock); the
-/// model has no clock, so timed waits are a single schedule point that
-/// expires immediately — no current scenario exercises a timed wait.
+/// notify is reported as a deadlock (lost wakeup).  The model has no
+/// clock, so timed waits are a single schedule point that expires
+/// immediately — no current scenario exercises a timed wait.
 class SyncCondVar {
  public:
   /// NO_THREAD_SAFETY_ANALYSIS: the body hands lk's capability through
@@ -345,10 +340,6 @@ class SyncCondVar {
     return s;
   }
 
-  void notify_one() {
-    sync_cv_notify_hook(this);
-    cv_.notify_one();
-  }
   void notify_all() {
     sync_cv_notify_hook(this);
     cv_.notify_all();
@@ -412,14 +403,6 @@ template <typename V, typename U>
 inline V hooked_fetch_sub(std::atomic<V>& a, U v, std::memory_order mo) {
   sync_pre(SyncKind::kAtomicRmw, &a, mo, static_cast<std::uint64_t>(v));
   V r = a.fetch_sub(v, mo);
-  sync_post_rmw(&a, mo);
-  return r;
-}
-
-template <typename V>
-inline V hooked_exchange(std::atomic<V>& a, V v, std::memory_order mo) {
-  sync_pre(SyncKind::kAtomicRmw, &a, mo);
-  V r = a.exchange(v, mo);
   sync_post_rmw(&a, mo);
   return r;
 }

@@ -118,6 +118,8 @@ TelemetrySample telemetry_delta(const CounterSnapshot& prev,
   return s;
 }
 
+namespace {
+
 void telemetry_append_json(JsonWriter& w, const TelemetrySample& s) {
   w.begin_object();
   w.kv("v", std::uint64_t{1});
@@ -151,6 +153,8 @@ void telemetry_append_json(JsonWriter& w, const TelemetrySample& s) {
   w.end_object();
   w.end_object();
 }
+
+}  // namespace
 
 std::string telemetry_encode(const TelemetrySample& s) {
   JsonWriter w;

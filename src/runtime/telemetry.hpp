@@ -45,7 +45,6 @@ TelemetrySample telemetry_delta(const CounterSnapshot& prev,
 /// Sample wire format is one JSON object (the same schema the aggregator
 /// snapshot embeds): {"v":1,"rank":..,"seq":..,"t_s":..,"dt_s":..,
 /// "counters":{..},"gauges":{..},"hists":{name:{count,sum,buckets}}}.
-void telemetry_append_json(JsonWriter& w, const TelemetrySample& s);
 std::string telemetry_encode(const TelemetrySample& s);
 bool telemetry_decode(const std::string& text, TelemetrySample& out,
                       std::string& error);

@@ -40,10 +40,6 @@ inline void cpu_relax() {
 
 int current_worker() { return tls_worker; }
 
-namespace detail {
-void set_current_worker(int w) { tls_worker = w; }
-}  // namespace detail
-
 ScopedTrace::ScopedTrace(Executor& ex, std::uint8_t cls, std::uint32_t arg)
     : ex_(ex), cls_(cls), arg_(arg),
       t0_(ex.trace().enabled() ? ex.now() : 0.0) {}

@@ -118,7 +118,7 @@ double JsonValue::num_or(const std::string& k, double def) const {
 std::string JsonValue::str_or(const std::string& k,
                               const std::string& def) const {
   const JsonValue* v = find(k);
-  return (v != nullptr && v->is_string()) ? v->string : def;
+  return (v != nullptr && v->kind == Kind::kString) ? v->string : def;
 }
 
 namespace {

@@ -1,88 +1,19 @@
-// Tests of the expansion-LCO machinery: trigger-once semantics under
-// concurrent inputs, late continuations, the expansion wire codec, per-edge
+// Tests of the expansion-LCO machinery: the expansion wire codec, per-edge
 // wire-format arithmetic, and the engine-level guarantee that transport
-// bytes equal serialized bytes.
+// bytes equal serialized bytes.  Trigger-once semantics are LcoArena's
+// (tests/runtime/lco_arena_test.cpp).
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
-#include <thread>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "core/pipeline.hpp"
 #include "geom/distributions.hpp"
-#include "runtime/lco.hpp"
 
 namespace amtfmm {
 namespace {
-
-/// Minimal LCO with the expansion-LCO contract instrumented: counts
-/// reductions and on_fire invocations.
-class ProbeLCO final : public LCO {
- public:
-  ProbeLCO(Executor& ex, int inputs) : LCO(ex, inputs) {}
-  std::atomic<int> reduced{0};
-  std::atomic<int> fired{0};
-
- protected:
-  void reduce(std::span<const std::byte>) override {
-    reduced.fetch_add(1, std::memory_order_relaxed);
-  }
-  void on_fire() override { fired.fetch_add(1, std::memory_order_relaxed); }
-};
-
-TEST(ExpansionLcoTrigger, FiresExactlyOnceUnderConcurrentInputs) {
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 250;
-  for (int round = 0; round < 20; ++round) {
-    ThreadExecutor ex(1, 2);
-    ProbeLCO lco(ex, kThreads * kPerThread);
-    std::atomic<int> continuations{0};
-    Task t;
-    t.fn = [&continuations] { continuations.fetch_add(1); };
-    lco.register_continuation(std::move(t));
-    std::vector<std::thread> threads;
-    for (int i = 0; i < kThreads; ++i) {
-      threads.emplace_back([&] {
-        const double v = 1.0;
-        for (int k = 0; k < kPerThread; ++k) {
-          lco.set_input(std::as_bytes(std::span<const double>(&v, 1)));
-        }
-      });
-    }
-    for (auto& th : threads) th.join();
-    ex.drain();
-    EXPECT_TRUE(lco.triggered());
-    EXPECT_EQ(lco.reduced.load(), kThreads * kPerThread);
-    EXPECT_EQ(lco.fired.load(), 1);
-    EXPECT_EQ(continuations.load(), 1);
-  }
-}
-
-TEST(ExpansionLcoTrigger, LateContinuationFiresImmediately) {
-  ThreadExecutor ex(1, 2);
-  ProbeLCO lco(ex, 1);
-  lco.set_input(dep_record());
-  ASSERT_TRUE(lco.triggered());
-  std::atomic<bool> ran{false};
-  Task t;
-  t.fn = [&ran] { ran.store(true); };
-  lco.register_continuation(std::move(t));
-  ex.drain();
-  EXPECT_TRUE(ran.load());
-}
-
-#if GTEST_HAS_DEATH_TEST
-TEST(ExpansionLcoTriggerDeathTest, InputAfterTriggerAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  ThreadExecutor ex(1, 1);
-  ProbeLCO lco(ex, 1);
-  lco.set_input(dep_record());
-  EXPECT_DEATH(lco.set_input(dep_record()), "");
-}
-#endif
 
 double max_abs(const CoeffVec& v) {
   double m = 0.0;

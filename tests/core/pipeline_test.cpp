@@ -87,6 +87,25 @@ TEST(EvalPipeline, ResidentReuseIsAllocationFreeAndExact) {
   EXPECT_EQ(first.wire_bytes, f.wire_bytes);
 }
 
+// A caller's own parcel between two epochs of a pipeline on a borrowed
+// executor (a serve gather, say) is not the next epoch's traffic: each
+// epoch's transport deltas start from the executor's counters at that
+// epoch's start.
+TEST(EvalPipeline, ParcelSentBetweenEpochsStaysOutOfTheNextEpoch) {
+  const Problem p = make_problem(2000, 31);
+  ThreadExecutor ex(2, 1);
+  auto kernel = make_kernel("laplace");
+  EvalPipeline pipe(*kernel, small_cfg(), p.sources, p.targets, ex);
+  const EvalResult first = pipe.evaluate(p.charges);
+  ASSERT_GT(first.wire_bytes, 0u);
+  ex.send(0, 1, 64, Task{});
+  const EvalResult second = pipe.evaluate(p.charges);
+  EXPECT_EQ(second.wire_bytes, first.wire_bytes);
+  EXPECT_EQ(second.bytes_sent, first.bytes_sent);
+  EXPECT_EQ(second.parcels_sent, first.parcels_sent);
+  EXPECT_LT(max_rel_err(second.potentials, first.potentials), 1e-12);
+}
+
 TEST(EvalPipeline, RepeatEpochsAreBitIdenticalOnOneWorker) {
   // One locality, one core: a deterministic schedule, so 100 resident
   // epochs must reproduce epoch 1 bit for bit (same sums in same order).

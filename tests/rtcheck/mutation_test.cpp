@@ -13,8 +13,9 @@ namespace amtfmm::rtcheck {
 namespace {
 
 constexpr Mutation kAll[] = {
-    Mutation::kStealBottomLoadRelaxed,   Mutation::kLcoSetInputNoLock,
-    Mutation::kCoalescerCountAfterInsert, Mutation::kArenaInputNoLock,
+    Mutation::kStealBottomLoadRelaxed,
+    Mutation::kCoalescerCountAfterInsert,
+    Mutation::kArenaInputNoLock,
     Mutation::kCountersCountEarly,
 };
 
@@ -80,11 +81,11 @@ TEST(RtCheckMutation, FailingScheduleIsCleanWithoutTheMutation) {
 
 TEST(RtCheckMutation, PctFindsAndSeedReplaysAMutation) {
   const Scenario* sc =
-      find_scenario(mutation_scenario(Mutation::kLcoSetInputNoLock));
+      find_scenario(mutation_scenario(Mutation::kArenaInputNoLock));
   ASSERT_NE(sc, nullptr);
   RtOptions opt;
   opt.mode = RtOptions::Mode::kPct;
-  opt.mutation = Mutation::kLcoSetInputNoLock;
+  opt.mutation = Mutation::kArenaInputNoLock;
   opt.seed = 1;
   opt.pct_executions = 128;
   const RtReport rep = run(*sc, opt);

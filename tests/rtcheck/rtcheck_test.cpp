@@ -26,13 +26,6 @@ TEST(RtCheck, DequeStealVsPopExploresExhaustivelyAndPasses) {
   EXPECT_GE(rep.executions, 50u);
 }
 
-TEST(RtCheck, LcoTriggerOnceExploresExhaustivelyAndPasses) {
-  const RtReport rep = run_dfs("lco.trigger_once");
-  EXPECT_FALSE(rep.failed) << rep.message;
-  EXPECT_TRUE(rep.complete);
-  EXPECT_GE(rep.executions, 20u);
-}
-
 TEST(RtCheck, ArenaScenariosExploreExhaustivelyAndPass) {
   for (const char* name : {"arena.trigger_once", "arena.rearm"}) {
     const RtReport rep = run_dfs(name);
@@ -127,7 +120,7 @@ TEST(RtCheck, ScheduleFormatRoundTrips) {
 
 TEST(RtCheck, EveryMutationNamesARegisteredScenario) {
   for (Mutation m :
-       {Mutation::kStealBottomLoadRelaxed, Mutation::kLcoSetInputNoLock,
+       {Mutation::kStealBottomLoadRelaxed,
         Mutation::kCoalescerCountAfterInsert, Mutation::kArenaInputNoLock,
         Mutation::kCountersCountEarly}) {
     const Scenario* sc = find_scenario(mutation_scenario(m));

@@ -248,5 +248,35 @@ TEST(SimExecutor, TraceEventsCarryVirtualTimes) {
   EXPECT_NEAR(ex.now(), 1.5, 1e-9);  // 3 virtual seconds over 2 cores
 }
 
+TEST(Executor, SentParcelsRunAtTheirTarget) {
+  // The same three parcels on both executors: each runs on its target
+  // locality, carries its value in the task, and counts as one remote
+  // parcel; on the simulator it also takes virtual time.
+  ThreadExecutor threads(2, 2);
+  SimExecutor sim(2, 1);
+  for (Executor* ex : {static_cast<Executor*>(&threads),
+                       static_cast<Executor*>(&sim)}) {
+    constexpr std::uint32_t kTarget = 1;
+    std::atomic<int> sum{0};
+    std::atomic<int> wrong_locality{0};
+    for (int i = 1; i <= 3; ++i) {
+      Task t;
+      t.items = {{kClsNetwork, 1e-6}};  // virtual cost on the simulator
+      t.fn = [ex, &sum, &wrong_locality, i] {
+        if (ex->current_locality() != static_cast<int>(kTarget)) {
+          wrong_locality.fetch_add(1);
+        }
+        sum.fetch_add(i);
+      };
+      ex->send(/*from=*/0, kTarget, sizeof(int) + 32, std::move(t));
+    }
+    ex->drain();
+    EXPECT_EQ(wrong_locality.load(), 0);
+    EXPECT_EQ(sum.load(), 6);
+    EXPECT_EQ(ex->parcels_sent(), 3u);
+  }
+  EXPECT_GT(sim.now(), 0.0) << "simulated parcels take virtual time";
+}
+
 }  // namespace
 }  // namespace amtfmm

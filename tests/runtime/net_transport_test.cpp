@@ -210,8 +210,8 @@ TEST(NetTransport, OrderlyPeerStopIsNotAFailure) {
                   s1.batch_fn(), s1.control_fn(), s1.fail_fn());
   start_pair(t0, t1);
 
-  // Rank 1 stops while rank 0 is still live and has NOT called
-  // allow_peer_close: the goodbye announcement must make the EOF benign.
+  // Rank 1 stops while rank 0 is still live: the goodbye announcement
+  // must make the EOF benign.
   t1.stop();
   std::this_thread::sleep_for(200ms);
   EXPECT_FALSE(t0.failed()) << t0.failure_text();

@@ -1,6 +1,6 @@
 // amtfmm_launch: spawns an N-process socket-locality world on one host.
 //
-//   amtfmm_launch --np=4 --transport=unix -- ./amtfmm_loopback --n=4000
+//   amtfmm_launch --np=4 --transport=unix -- ./amtfmm_serve --n=4000
 //
 // Every rank runs the identical command line (SPMD); the launcher wires
 // ranks together purely through the environment (AMTFMM_NET_RANK / SIZE /

@@ -1,46 +1,62 @@
-// amtfmm_serve: resident FMM-as-a-service driver.
+// amtfmm_serve: resident FMM-as-a-service driver, and the SPMD driver of
+// socket worlds.
 //
 // Stands up one EvalPipeline and evaluates it for many epochs on the SAME
 // tree + DAG + LCO arena: epoch 1 pays the build + instantiate cost,
 // every later epoch re-arms the arena in place.  Runs either in-process
 // (ThreadExecutor, --localities x --cores) or as one SPMD rank of a
-// socket world under tools/amtfmm_launch (net_config_from_env, exactly
-// like amtfmm_loopback).  The driver measures and checks:
+// socket world under tools/amtfmm_launch (net_config_from_env): every rank
+// builds the identical problem from the same seed, and its potentials are
+// that rank's partial sums.  The driver measures and checks:
 //
 //   1. steady state instantiates no node: gas_allocs_last_epoch() == 0
-//      for every epoch >= 2 (hard failure otherwise);
+//      for every epoch >= 2;
 //   2. epoch-2 setup cost (arena re-arm) is a small fraction of the
 //      epoch-1 build (reported as reset_ratio; gated by
 //      scripts/check_bench_serve.py at 5%);
-//   3. repeat evaluations agree with epoch 1 at 1e-12 relative and with a
-//      fresh one-shot pipeline; in process, the fresh run's and the DES
-//      simulation's wire bytes match the resident epoch's exactly;
+//   3. repeat evaluations agree with epoch 1 at 1e-12 relative with the
+//      same wire bytes; on a socket world, so does a fresh one-shot
+//      pipeline on the same mesh (a second engine taking over the net
+//      handlers);
 //   4. request batching demuxes correctly: every per-request slice of a
-//      batched epoch matches the combined potentials.
+//      batched epoch matches the combined potentials;
+//   5. on rank 0, the global answer — on a socket world, the sum of every
+//      rank's epoch-1 partials, which ranks != 0 send to rank 0 as one
+//      kNetKindUser parcel right after epoch 1 — equals an in-process run
+//      of the same problem with one locality per rank at 1e-12 relative;
+//      the summed wire bytes equal the summed bytes sent, the in-process
+//      run's and the DES simulation's wire bytes exactly, and the summed
+//      parcels equal theirs; and on a socket world the net.* counters are
+//      live.
 //
-// Steady-state throughput (evals/s) and latency (p50/p99) go to --json as
-// a BENCH row: "serve_inproc" or "serve_net" (rank 0 only).
+// Any failed check prints "SERVE FAIL: ..." and exits 1.  Steady-state
+// throughput (evals/s) and latency (p50/p99) go to --json as a BENCH row:
+// "serve_inproc" or "serve_net" (rank 0 only).  --trace-out writes one
+// Chrome trace per rank, PREFIX.<rank>, with the epoch start times and the
+// rank's clock anchor, for trace_report --merge.
 
 #include <algorithm>
-#include <cinttypes>
-#include <numeric>
-#include <cmath>
-#include <cstdio>
-#include <memory>
-#include <string>
-#include <vector>
-
 #include <chrono>
+#include <cinttypes>
+#include <cmath>
 #include <cstddef>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <memory>
+#include <mutex>
+#include <numeric>
 #include <span>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/pipeline.hpp"
 #include "geom/distributions.hpp"
 #include "runtime/flight_recorder.hpp"
 #include "runtime/net/net_executor.hpp"
 #include "runtime/telemetry.hpp"
+#include "runtime/trace_export.hpp"
 #include "runtime/watchdog.hpp"
 #include "support/cli.hpp"
 #include "support/error.hpp"
@@ -67,6 +83,54 @@ double max_rel_err(std::span<const double> a, std::span<const double> b) {
   }
   return m;
 }
+
+/// Rank 0's sum of the other ranks' epoch-1 results.  Each rank != 0
+/// sends one parcel: wire_bytes, bytes_sent, parcels_sent and the
+/// potential count as u64s, then its partial potentials.
+struct Gather {
+  static constexpr std::size_t kHeader = 4 * sizeof(std::uint64_t);
+
+  std::mutex mu;
+  std::vector<double> potentials;
+  std::uint64_t wire_bytes = 0;
+  std::uint64_t bytes_sent = 0;
+  std::uint64_t parcels = 0;
+  std::uint32_t ranks = 0;
+  bool bad = false;
+
+  static std::vector<std::byte> encode(const EvalResult& r) {
+    const std::uint64_t head[4] = {r.wire_bytes, r.bytes_sent,
+                                   r.parcels_sent, r.potentials.size()};
+    std::vector<std::byte> buf(kHeader + r.potentials.size() * sizeof(double));
+    std::memcpy(buf.data(), head, kHeader);
+    std::memcpy(buf.data() + kHeader, r.potentials.data(),
+                r.potentials.size() * sizeof(double));
+    return buf;
+  }
+
+  void add(const std::vector<std::byte>& buf) {
+    std::lock_guard<std::mutex> lk(mu);
+    std::uint64_t head[4] = {};
+    if (buf.size() >= kHeader) std::memcpy(head, buf.data(), kHeader);
+    const std::uint64_t npot = head[3];
+    if (buf.size() < kHeader ||
+        buf.size() != kHeader + npot * sizeof(double) ||
+        (!potentials.empty() && potentials.size() != npot)) {
+      bad = true;
+      return;
+    }
+    potentials.resize(npot, 0.0);
+    for (std::uint64_t i = 0; i < npot; ++i) {
+      double v;
+      std::memcpy(&v, buf.data() + kHeader + i * sizeof(double), sizeof(v));
+      potentials[i] += v;
+    }
+    wire_bytes += head[0];
+    bytes_sent += head[1];
+    parcels += head[2];
+    ++ranks;
+  }
+};
 
 int run(int argc, char** argv) {
   Cli cli(
@@ -101,6 +165,9 @@ int run(int argc, char** argv) {
   cli.add_flag("stall", 0.0,
                "inject an artificial stall of this many seconds before the "
                "final epoch (exercises the watchdog)");
+  cli.add_flag("trace-out", std::string(""),
+               "per-rank Chrome trace path prefix: writes PREFIX.<rank> "
+               "(empty = off)");
   cli.parse(argc, argv);
 
   net::NetConfig ncfg;  // standalone default: world of one
@@ -128,6 +195,8 @@ int run(int argc, char** argv) {
   cfg.cores_per_locality = static_cast<int>(cli.i64("cores"));
   cfg.coalesce.enabled = cli.flag("coalesce");
   cfg.counters = true;
+  const std::string trace_out = cli.str("trace-out");
+  cfg.trace = !trace_out.empty();
 
   auto kernel = make_kernel(cli.str("kernel"));
 
@@ -215,12 +284,38 @@ int run(int argc, char** argv) {
         });
   }
 
+  // Rank 0 collects the other ranks' epoch-1 partials; its handler must
+  // exist before any peer can send one.
+  Gather gather;
+  if (net_mode && rank == 0) {
+    nex->register_net_handler(kNetKindUser,
+                              [&gather](const std::vector<std::byte>& buf) {
+                                gather.add(buf);
+                              });
+  }
+
   // Epoch 1: instantiates the resident arena (build cost is separate —
   // pipeline.setup_seconds() — so epoch 1's latency is instantiate+run).
   if (watchdog) watchdog->arm();
   Timer t1;
   const EvalResult first = pipeline->evaluate(charges);
   const double epoch1_s = t1.seconds() + pipeline->setup_seconds();
+  double max_makespan = first.makespan;
+  if (net_mode) {
+    // The gather: one parcel per rank != 0, then a collective drain that
+    // delivers them.  Epoch 2's transport deltas start after it.
+    if (rank != 0) {
+      Task t;
+      t.locality = 0;
+      t.net_kind = kNetKindUser;
+      t.net_payload =
+          std::make_shared<const std::vector<std::byte>>(Gather::encode(first));
+      const std::size_t bytes = t.net_payload->size();
+      nex->send(rank, 0, bytes, std::move(t));
+    }
+    nex->drain();
+    if (rank == 0) nex->unregister_net_handler(kNetKindUser);
+  }
   if (watchdog) watchdog->beat();
 
   // Steady state: epochs 2..E re-arm in place.
@@ -240,6 +335,7 @@ int run(int argc, char** argv) {
     Timer te;
     const EvalResult r = pipeline->evaluate(charges);
     lat.push_back(te.seconds());
+    max_makespan = std::max(max_makespan, r.makespan);
     if (watchdog) watchdog->beat();
     if (e == 2) reset_s = pipeline->last_reset_seconds();
     steady_allocs += pipeline->gas_allocs_last_epoch();
@@ -281,6 +377,7 @@ int run(int argc, char** argv) {
     }
   }
   const BatchEvalResult batch = pipeline->evaluate_batch(charges, requests);
+  max_makespan = std::max(max_makespan, batch.combined.makespan);
   for (std::size_t r = 0; r < nreq && ok; ++r) {
     for (std::size_t j = 0; j < requests[r].targets.size(); ++j) {
       if (batch.per_request[r][j] !=
@@ -293,9 +390,32 @@ int run(int argc, char** argv) {
     }
   }
 
-  // Fresh-build parity: a brand-new one-shot evaluation of the identical
-  // problem must match the multi-epoch resident answer at 1e-12 — and in
-  // process, the DES simulation's wire bytes must match exactly.
+  if (!trace_out.empty()) {
+    // Every resident epoch on one timeline, cut by the epoch start times;
+    // the rank identity and clock anchor let trace_report --merge shift
+    // this file onto rank 0's timeline.
+    const EvalResult& last = batch.combined;
+    ChromeTraceOptions topt;
+    topt.cores_per_locality = cfg.cores_per_locality;
+    topt.makespan = max_makespan;
+    topt.dag_edges = last.dag_edges;
+    topt.epochs = pipeline->epoch_start_times();
+    topt.counters = &last.counters;
+    topt.rank = rank;
+    topt.world = world;
+    topt.clock = ex.trace_clock();
+    if (!trace_export_chrome(trace_out + "." + std::to_string(rank),
+                             last.trace, last.comm_trace, last.instants,
+                             topt)) {
+      std::fprintf(stderr, "SERVE FAIL: cannot write %s.%u\n",
+                   trace_out.c_str(), rank);
+      ok = false;
+    }
+  }
+
+  // Fresh-build parity on a socket world: a brand-new one-shot pipeline on
+  // the same mesh must match the multi-epoch resident answer at 1e-12.
+  // (In process, rank 0's in-process reference below is the fresh build.)
   double fresh_rel = 0.0;
   if (net_mode) {
     const auto fresh_kernel = make_kernel(cli.str("kernel"));
@@ -303,28 +423,13 @@ int run(int argc, char** argv) {
         EvalPipeline(*fresh_kernel, cfg, sources, targets, *nex)
             .evaluate(charges);
     fresh_rel = max_rel_err(first.potentials, fresh.potentials);
-  } else {
-    Evaluator fresh_eval(make_kernel(cli.str("kernel")), cfg);
-    const EvalResult fresh = fresh_eval.evaluate(sources, charges, targets);
-    fresh_rel = max_rel_err(first.potentials, fresh.potentials);
-    SimConfig scfg;
-    scfg.localities = cfg.localities;
-    scfg.cores_per_locality = cfg.cores_per_locality;
-    const EvalResult sim = fresh_eval.simulate(sources, targets, scfg);
-    if (fresh.wire_bytes != wire || sim.wire_bytes != wire) {
+    if (fresh_rel > 1e-12) {
       std::fprintf(stderr,
-                   "SERVE FAIL: wire bytes disagree: resident %" PRIu64
-                   ", fresh %" PRIu64 ", sim %" PRIu64 "\n",
-                   wire, fresh.wire_bytes, sim.wire_bytes);
+                   "SERVE FAIL: rank %u resident vs fresh-build parity "
+                   "(max rel err %.3e > 1e-12)\n",
+                   rank, fresh_rel);
       ok = false;
     }
-  }
-  if (fresh_rel > 1e-12) {
-    std::fprintf(stderr,
-                 "SERVE FAIL: rank %u resident vs fresh-build parity "
-                 "(max rel err %.3e > 1e-12)\n",
-                 rank, fresh_rel);
-    ok = false;
   }
   // Orderly telemetry teardown: the local sampler's final flush must land
   // before the transport callback is cleared, so the aggregator strictly
@@ -339,6 +444,75 @@ int run(int argc, char** argv) {
                  "SERVE FAIL: rank %u watchdog fired without an injected "
                  "stall\n", rank);
     ok = false;
+  }
+
+  // Rank 0 checks the global answer after the watchdog is disarmed, so the
+  // reference run is never inside an armed window or a timed epoch.
+  if (rank == 0) {
+    std::vector<double> global = first.potentials;
+    std::uint64_t wire_sum = first.wire_bytes;
+    std::uint64_t sent_sum = first.bytes_sent;
+    std::uint64_t parcel_sum = first.parcels_sent;
+    if (net_mode) {
+      std::lock_guard<std::mutex> lk(gather.mu);
+      if (gather.bad || gather.ranks != world - 1 ||
+          gather.potentials.size() != global.size()) {
+        std::fprintf(stderr,
+                     "SERVE FAIL: gather saw %u of %u ranks (bad=%d)\n",
+                     gather.ranks, world - 1, gather.bad ? 1 : 0);
+        return 1;
+      }
+      for (std::size_t i = 0; i < global.size(); ++i) {
+        global[i] += gather.potentials[i];
+      }
+      wire_sum += gather.wire_bytes;
+      sent_sum += gather.bytes_sent;
+      parcel_sum += gather.parcels;
+    }
+    // Same DAG, same placement and same arithmetic on one locality per
+    // rank: the answers agree to rounding noise and the bytes exactly.
+    EvalConfig rcfg = cfg;
+    rcfg.trace = false;
+    rcfg.counters = false;
+    if (net_mode) rcfg.localities = static_cast<int>(world);
+    Evaluator ref_eval(make_kernel(cli.str("kernel")), rcfg);
+    const EvalResult ref = ref_eval.evaluate(sources, charges, targets);
+    SimConfig scfg;
+    scfg.localities = rcfg.localities;
+    scfg.cores_per_locality = rcfg.cores_per_locality;
+    const EvalResult sim = ref_eval.simulate(sources, targets, scfg);
+    const double global_rel = max_rel_err(global, ref.potentials);
+    if (!net_mode) fresh_rel = global_rel;
+    if (global_rel > 1e-12) {
+      std::fprintf(stderr,
+                   "SERVE FAIL: potentials diverge from the in-process run "
+                   "(max rel err %.3e > 1e-12)\n",
+                   global_rel);
+      ok = false;
+    }
+    if (wire_sum != sent_sum || wire_sum != ref.wire_bytes ||
+        wire_sum != sim.wire_bytes || parcel_sum != ref.parcels_sent ||
+        parcel_sum != sim.parcels_sent) {
+      std::fprintf(stderr,
+                   "SERVE FAIL: wire bytes disagree: summed %" PRIu64
+                   ", bytes sent %" PRIu64 ", in-process %" PRIu64
+                   ", sim %" PRIu64 "; parcels summed %" PRIu64
+                   ", in-process %" PRIu64 ", sim %" PRIu64 "\n",
+                   wire_sum, sent_sum, ref.wire_bytes, sim.wire_bytes,
+                   parcel_sum, ref.parcels_sent, sim.parcels_sent);
+      ok = false;
+    }
+    if (net_mode) {
+      const std::uint64_t msgs = first.counters.value("net.msgs_sent");
+      const std::uint64_t iters = first.counters.value("net.progress_iters");
+      if (msgs == 0 || iters == 0) {
+        std::fprintf(stderr,
+                     "SERVE FAIL: net counters dead (msgs_sent=%" PRIu64
+                     " progress_iters=%" PRIu64 ")\n",
+                     msgs, iters);
+        ok = false;
+      }
+    }
   }
   if (!ok) return 1;
 

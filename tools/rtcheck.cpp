@@ -7,7 +7,7 @@
 // Typical uses:
 //   rtcheck --list
 //   rtcheck --suite deque --mode dfs --preempt 2
-//   rtcheck --scenario lco.trigger_once --mutation lco-set-input-no-lock
+//   rtcheck --scenario arena.trigger_once --mutation arena-input-no-lock
 //   rtcheck --scenario deque.steal_vs_pop --mode replay --replay 1,1,0,...
 //   rtcheck --mode pct --seed 7 --executions 512 --time-budget 600
 //
