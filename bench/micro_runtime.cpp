@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
@@ -69,17 +70,30 @@ void BM_LcoReduction(benchmark::State& state) {
 }
 BENCHMARK(BM_LcoReduction)->Arg(100)->Arg(10000);
 
+/// A parcel of kind kNetKindUser carrying `bytes` of payload.
+Task user_parcel(std::size_t bytes) {
+  Task t;
+  t.net_kind = kNetKindUser;
+  t.net_payload = std::make_shared<const std::vector<std::byte>>(bytes);
+  return t;
+}
+
+/// Registers a kNetKindUser handler that touches the payload and counts.
+void count_parcels(Executor& ex, std::atomic<int>& hits) {
+  ex.register_net_handler(
+      kNetKindUser, [&hits](const std::vector<std::byte>& payload) {
+        benchmark::DoNotOptimize(payload.data());
+        hits.fetch_add(1, std::memory_order_relaxed);
+      });
+}
+
 void BM_ParcelRoundTrip(benchmark::State& state) {
   ThreadExecutor ex(2, 1);
   std::atomic<int> hits{0};
+  count_parcels(ex, hits);
   for (auto _ : state) {
-    Task t;
-    // One multipole expansion of payload, carried by the task.
-    t.fn = [&hits, payload = std::vector<std::byte>(880)] {
-      benchmark::DoNotOptimize(payload.data());
-      hits.fetch_add(1);
-    };
-    ex.send(0, 1, 880 + 32, std::move(t));
+    // One multipole expansion of payload, run by the receiver's handler.
+    ex.send(0, 1, 880 + 32, user_parcel(880));
     ex.drain();
   }
   benchmark::DoNotOptimize(hits.load());
@@ -221,15 +235,11 @@ void BM_ParcelFanOutReal(benchmark::State& state) {
   constexpr int kParcels = 4096;
   ThreadExecutor ex(4, 1, 1, coalesce_arg(state.range(0)));
   std::atomic<int> hits{0};
+  count_parcels(ex, hits);
   for (auto _ : state) {
     for (int i = 0; i < kParcels; ++i) {
-      Task t;
-      t.fn = [&hits, payload = std::vector<std::byte>(64)] {
-        benchmark::DoNotOptimize(payload.data());
-        hits.fetch_add(1, std::memory_order_relaxed);
-      };
       ex.send(0, static_cast<std::uint32_t>(1 + i % 3), 64 + 32,
-              std::move(t));
+              user_parcel(64));
     }
     ex.drain();
     benchmark::DoNotOptimize(hits.load());
@@ -249,10 +259,10 @@ void BM_ParcelFanOutSim(benchmark::State& state) {
   for (auto _ : state) {
     SimExecutor ex(4, 1, SchedPolicy::kFifo, NetworkModel{}, 1,
                    coalesce_arg(state.range(0)));
+    ex.register_net_handler(kNetKindUser,
+                            [](const std::vector<std::byte>&) {});
     for (int i = 0; i < kParcels; ++i) {
-      Task t;
-      t.fn = [] {};
-      ex.send(0, static_cast<std::uint32_t>(1 + i % 3), 64, std::move(t));
+      ex.send(0, static_cast<std::uint32_t>(1 + i % 3), 64, user_parcel(64));
     }
     virtual_time = ex.drain();
     factor = ex.comm_stats().coalescing_factor();
@@ -282,15 +292,14 @@ net::NetConfig transport_cfg(std::uint32_t rank, const std::string& dir,
   return cfg;
 }
 
-net::WireBatch transport_batch(std::uint32_t src, std::size_t payload_bytes) {
-  net::WireBatch b;
+ParcelBatch transport_batch(std::uint32_t src, std::size_t payload_bytes) {
+  ParcelBatch b;
   b.src = src;
   b.dst = 1 - src;
+  b.bytes = payload_bytes;
   b.coalesced = false;
-  net::WireParcel p;
-  p.kind = 1;
-  p.payload.resize(payload_bytes);
-  b.parcels.push_back(std::move(p));
+  b.tasks.push_back(user_parcel(payload_bytes));
+  b.tasks.back().locality = b.dst;
   return b;
 }
 
@@ -322,7 +331,7 @@ void run_transport_bench(net::TransportKind kind, const std::string& kind_name,
   net::NetTransport* t1_ptr = nullptr;
   net::NetTransport t0(
       transport_cfg(0, dir.string(), kind),
-      [&](net::WireBatch&&) {
+      [&](ParcelBatch&&) {
         std::lock_guard<std::mutex> lk(mu);
         ++echoes;
         cv.notify_all();
@@ -330,11 +339,11 @@ void run_transport_bench(net::TransportKind kind, const std::string& kind_name,
       ctrl, fail);
   net::NetTransport t1(
       transport_cfg(1, dir.string(), kind),
-      [&](net::WireBatch&& b) {
+      [&](ParcelBatch&& b) {
         {
           std::lock_guard<std::mutex> lk(mu);
           ++recvd1;
-          recvd1_bytes += b.payload_bytes();
+          recvd1_bytes += b.bytes;
           cv.notify_all();
         }
         // Echo from the progress thread: post_control-style non-blocking

@@ -27,7 +27,10 @@
 #      --benchmark_format=json on stdout; JSON checked, times not gated), the
 #      per-ISA SIMD kernel sweep gated by scripts/check_bench_kernels.py
 #      and the socket transport sweep gated by
-#      scripts/check_bench_transport.py,
+#      scripts/check_bench_transport.py, and Fig. 3 at its default N
+#      (~1 min) gated on its shape by scripts/check_fig3_shape.py: for
+#      cube and sphere, Yukawa's efficiency at the largest core count is at
+#      least Laplace's,
 #  10. resident-serve, telemetry and trace-export smokes, then a 2-second
 #      fmmbench run of every BENCHMARK.json workload, failing on a nonzero
 #      exit, correct: false or failed > 0 (scripts/check_fmmbench.py).
@@ -158,6 +161,11 @@ echo "== Socket transport sweep (BENCH_transport.json) =="
   --transport-json build/bench-smoke/BENCH_transport.json
 python3 scripts/check_bench_transport.py \
   build/bench-smoke/BENCH_transport.json
+
+echo "== Fig. 3 shape at the default N (Yukawa efficiency >= Laplace) =="
+./build/bench/fig3_strong_scaling \
+  | tee build/bench-smoke/fig3_strong_scaling.txt \
+  | python3 scripts/check_fig3_shape.py
 
 echo "== Resident pipeline steady state (BENCH_serve.json) =="
 ./build/tools/amtfmm_serve --n=4000 --epochs=6 --localities=2 --cores=2 \

@@ -9,7 +9,8 @@ namespace {
 
 double us(double v) { return v * 1e-6; }
 
-/// Median-of-repeats timing of a callable.
+/// Fastest of `repeats` timings of a callable (the minimum, not a
+/// median: the least-disturbed run).
 template <typename F>
 double time_op(F&& f, int repeats = 9) {
   double best = 1e300;

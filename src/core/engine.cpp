@@ -43,6 +43,17 @@ struct ContribHeader {
 };
 static_assert(sizeof(ContribHeader) == 8);
 
+/// A contribution parcel's payload: the header, then `packed` bytes for the
+/// sender to fill with the packed L expansion (none in cost-only mode).
+std::shared_ptr<std::vector<std::byte>> contribution_payload(
+    const DagEdge& e, std::size_t packed) {
+  auto buf =
+      std::make_shared<std::vector<std::byte>>(sizeof(ContribHeader) + packed);
+  const ContribHeader h{e.target, static_cast<std::uint8_t>(e.op), 0, 0};
+  std::memcpy(buf->data(), &h, sizeof(h));
+  return buf;
+}
+
 constexpr std::size_t kBytesPerPoint = 32;  // x, y, z, q doubles
 
 /// Zero-pads `v` to exactly `want` coefficients (staging through `stage`
@@ -116,10 +127,8 @@ DagEngine::DagEngine(const Dag& dag, const DualTree& dt, const Kernel& kernel,
       arena_(ex, dag.nodes.size()) {}
 
 DagEngine::~DagEngine() {
-  if (handlers_registered_) {
-    ex_.unregister_net_handler(kNetKindEvalParcel);
-    ex_.unregister_net_handler(kNetKindContribution);
-  }
+  ex_.unregister_net_handler(kNetKindEvalParcel);
+  ex_.unregister_net_handler(kNetKindContribution);
 }
 
 double DagEngine::execute(std::span<const double> charges,
@@ -134,18 +143,15 @@ double DagEngine::execute(std::span<const double> charges,
   // relaxed-ok: statistic reset before any worker runs; executor spawn
   // publishes it.
   wire_bytes_.store(0, std::memory_order_relaxed);
-  if (!opt_.cost) {
-    // Socket localities rebuild remote work from serialized payloads; the
-    // handlers must exist before any peer's parcels can arrive.  No-op on
-    // in-process executors (they ship the closures themselves).
-    ex_.register_net_handler(
-        kNetKindEvalParcel,
-        [this](const std::vector<std::byte>& b) { process_parcel(b); });
-    ex_.register_net_handler(
-        kNetKindContribution,
-        [this](const std::vector<std::byte>& b) { process_contribution(b); });
-    handlers_registered_ = true;
-  }
+  // Every executor runs an arriving parcel through its kind's handler; the
+  // handlers must exist before any parcel (a socket peer's included) can
+  // arrive.
+  ex_.register_net_handler(
+      kNetKindEvalParcel,
+      [this](const std::vector<std::byte>& b) { process_parcel(b); });
+  ex_.register_net_handler(
+      kNetKindContribution,
+      [this](const std::vector<std::byte>& b) { process_contribution(b); });
   gas_allocs_epoch_ = 0;
   if (!instantiated_) {
     instantiate();
@@ -503,30 +509,22 @@ void DagEngine::spawn_edge_tasks(NodeIndex ni) {
 
   // Serialize eval parcels before any consumer can release the payload
   // (this thread is on the node's home locality — the last input always
-  // arrives there).
-  struct PendingParcel {
-    std::uint32_t loc;
-    bool high;
-    std::shared_ptr<std::vector<std::byte>> buf;  // wire buffer (compute)
-    std::uint64_t bytes;
-    std::vector<std::uint32_t> ids;
-  };
-  std::vector<PendingParcel> parcels;
+  // arrives there).  The wire size is the full parcel's in both modes: the
+  // payload's size in compute mode, charged for a prefix in cost-only mode.
+  std::vector<std::pair<std::uint64_t, Task>> parcels;  // wire bytes, parcel
   parcels.reserve(remote.size());
   for (auto& [loc, ids] : remote) {
-    PendingParcel p;
-    p.loc = loc;
-    p.high = opt_.split_priority && is_high(dag_.edges[ids.front()].op);
-    if (compute) {
-      p.buf = std::make_shared<std::vector<std::byte>>(
-          serialize_parcel(ni, ids));
-      p.bytes = p.buf->size();
-      AMTFMM_ASSERT(p.bytes == parcel_wire_bytes(ni, ids));
-    } else {
-      p.bytes = parcel_wire_bytes(ni, ids);
-    }
-    p.ids = std::move(ids);
-    parcels.push_back(std::move(p));
+    Task t;
+    t.locality = loc;
+    t.high_priority =
+        opt_.split_priority && is_high(dag_.edges[ids.front()].op);
+    t.net_kind = kNetKindEvalParcel;
+    t.net_payload = std::make_shared<const std::vector<std::byte>>(
+        serialize_parcel(ni, ids));
+    const std::uint64_t bytes = parcel_wire_bytes(ni, ids);
+    AMTFMM_ASSERT(!compute || t.net_payload->size() == bytes);
+    if (!compute) t.items = cost_items(ids);
+    parcels.emplace_back(bytes, std::move(t));
   }
 
   const bool has_payload = compute && n.kind != NodeKind::kS;
@@ -555,40 +553,17 @@ void DagEngine::spawn_edge_tasks(NodeIndex ni) {
       t.fn = [this, ni, e] { send_contribution(ni, e); };
       ex_.spawn(std::move(t));
     } else {
-      const std::uint64_t bytes = contribution_wire_bytes(edge);
-      // relaxed-ok: byte statistic, read only after drain().
-      wire_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+      // Cost-only: the header alone, charged at the packed size.
       Task t;
       t.locality = tloc;
+      t.net_kind = kNetKindContribution;
+      t.net_payload = contribution_payload(edge, 0);
       t.items = cost_items(std::span<const std::uint32_t>(&e, 1));
-      t.fn = [this, target = edge.target] { input(target, dep_record()); };
-      ex_.send(n.locality, tloc, bytes, std::move(t));
+      send_parcel(n.locality, contribution_wire_bytes(edge), std::move(t));
     }
   }
 
-  for (PendingParcel& p : parcels) {
-    // relaxed-ok: byte statistic, read only after drain().
-    wire_bytes_.fetch_add(p.bytes, std::memory_order_relaxed);
-    Task t;
-    t.locality = p.loc;
-    t.high_priority = p.high;
-    if (compute) {
-      // Wire identity for socket localities: the same serialized buffer
-      // backs both the in-process closure and the cross-process payload,
-      // so transported bytes are the logical wire bytes by construction.
-      t.net_kind = kNetKindEvalParcel;
-      t.net_payload = p.buf;
-      t.fn = [this, buf = std::move(p.buf)] { process_parcel(*buf); };
-    } else {
-      t.items = cost_items(p.ids);
-      t.fn = [this, ids = std::move(p.ids)] {
-        for (const std::uint32_t e : ids) {
-          input(dag_.edges[e].target, dep_record());
-        }
-      };
-    }
-    ex_.send(n.locality, p.loc, p.bytes, std::move(t));
-  }
+  for (auto& [bytes, t] : parcels) send_parcel(n.locality, bytes, std::move(t));
 
   if (has_payload) release(ni);
 }
@@ -843,14 +818,21 @@ std::uint64_t DagEngine::contribution_wire_bytes(const DagEdge& e) const {
 
 std::vector<std::byte> DagEngine::serialize_parcel(
     NodeIndex ni, std::span<const std::uint32_t> edge_ids) {
-  const DagNode& n = dag_.nodes[ni];
-  const SourceView src = local_view(ni);
   AMTFMM_ASSERT(edge_ids.size() <= 0xffff);
-
   std::vector<std::byte> buf(sizeof(ParcelHeader) +
                              sizeof(std::uint32_t) * edge_ids.size());
   std::memcpy(buf.data() + sizeof(ParcelHeader), edge_ids.data(),
               sizeof(std::uint32_t) * edge_ids.size());
+  if (opt_.cost) {
+    // Cost-only: the header and edge ids alone; the sections are modelled
+    // (parcel_wire_bytes), not built.
+    const ParcelHeader h{ni, static_cast<std::uint16_t>(edge_ids.size()), 0};
+    std::memcpy(buf.data(), &h, sizeof(h));
+    return buf;
+  }
+
+  const DagNode& n = dag_.nodes[ni];
+  const SourceView src = local_view(ni);
 
   std::uint16_t num_sections = 0;
   auto open_section = [&](PayloadSlot slot, std::uint8_t dir,
@@ -940,6 +922,10 @@ void DagEngine::process_parcel(const std::vector<std::byte>& buf) {
                       "eval parcel: edge target out of range");
   }
   std::size_t off = sizeof(h) + sizeof(std::uint32_t) * h.num_edges;
+  if (opt_.cost) {
+    for (const std::uint32_t e : ids) input(dag_.edges[e].target, dep_record());
+    return;
+  }
 
   // Deserialized source data (sections are unaligned: memcpy everything).
   CoeffVec main;
@@ -1013,6 +999,13 @@ void DagEngine::process_parcel(const std::vector<std::byte>& buf) {
   }
 }
 
+void DagEngine::send_parcel(std::uint32_t from, std::uint64_t bytes, Task t) {
+  // relaxed-ok: byte statistic, read only after drain().
+  wire_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  const std::uint32_t to = t.locality;
+  ex_.send(from, to, bytes, std::move(t));
+}
+
 void DagEngine::send_contribution(NodeIndex ni, std::uint32_t edge_id) {
   const DagEdge& e = dag_.edges[edge_id];
   const DagNode& n = dag_.nodes[ni];
@@ -1037,33 +1030,29 @@ void DagEngine::send_contribution(NodeIndex ni, std::uint32_t edge_id) {
     }
   }
 
-  const std::size_t lw = kernel_.l_wire_bytes(tbox.level);
-  auto buf =
-      std::make_shared<std::vector<std::byte>>(sizeof(ContribHeader) + lw);
-  const ContribHeader h{e.target, static_cast<std::uint8_t>(e.op), 0, 0};
-  std::memcpy(buf->data(), &h, sizeof(h));
-  kernel_.pack_l(*out, tbox.level, buf->data() + sizeof(h));
+  auto buf = contribution_payload(e, kernel_.l_wire_bytes(tbox.level));
+  kernel_.pack_l(*out, tbox.level, buf->data() + sizeof(ContribHeader));
   AMTFMM_ASSERT(buf->size() == contribution_wire_bytes(e));
-  // relaxed-ok: byte statistic, read only after drain().
-  wire_bytes_.fetch_add(buf->size(), std::memory_order_relaxed);
-
   Task t;
   t.locality = tn.locality;
-  const std::size_t bytes = buf->size();
   t.net_kind = kNetKindContribution;
-  t.net_payload = buf;
-  t.fn = [this, buf] { process_contribution(*buf); };
-  ex_.send(n.locality, tn.locality, bytes, std::move(t));
+  t.net_payload = std::move(buf);
+  send_parcel(n.locality, contribution_wire_bytes(e), std::move(t));
 
   if (n.kind != NodeKind::kS) release(ni);
 }
 
 void DagEngine::process_contribution(const std::vector<std::byte>& buf) {
   ContribHeader h;
-  AMTFMM_ASSERT(buf.size() > sizeof(h));
+  AMTFMM_ASSERT(buf.size() >= sizeof(h));
   std::memcpy(&h, buf.data(), sizeof(h));
   AMTFMM_ASSERT_MSG(h.target < dag_.nodes.size(),
                     "contribution parcel: target node out of range");
+  if (opt_.cost) {
+    input(h.target, dep_record());
+    return;
+  }
+  AMTFMM_ASSERT(buf.size() > sizeof(h));
   const DagNode& tn = dag_.nodes[h.target];
 
   auto full = ScratchArena::local().coeffs();

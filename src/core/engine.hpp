@@ -92,10 +92,11 @@ struct EngineOptions {
 ///    the packed L payload computed at the source.
 ///
 /// No pointer crosses a locality boundary: every remote byte is serialized
-/// into the parcel buffer and deserialized at the destination, so
-/// Executor::bytes_sent() equals the true serialized wire bytes
-/// (wire_bytes() cross-checks this).  In cost-only mode the identical
-/// dataflow runs with 8-byte dependency records and modelled task
+/// into the parcel payload and deserialized at the destination by its
+/// kind's handler, so Executor::bytes_sent() equals the true serialized
+/// wire bytes (wire_bytes() cross-checks this).  In cost-only mode the
+/// same parcels carry a prefix of that format (headers and edge ids) and
+/// the dataflow runs with 8-byte dependency records and modelled task
 /// durations; parcel sizes come from the same wire-format arithmetic, so
 /// simulated bytes match real bytes by construction.
 class DagEngine {
@@ -112,10 +113,10 @@ class DagEngine {
 
   DagEngine(const Dag& dag, const DualTree& dt, const Kernel& kernel,
             Executor& ex, EngineOptions opt);
-  /// Unregisters the net handlers registered by execute(): on a mesh that
-  /// outlives this engine, a peer racing into the NEXT evaluation must
-  /// have its early parcels block until the next engine registers — not
-  /// run a handler capturing a destroyed engine.
+  /// Unregisters the parcel handlers registered by execute(): on a mesh
+  /// that outlives this engine, a peer racing into the NEXT evaluation
+  /// must have its early parcels block until the next engine registers —
+  /// not run a handler capturing a destroyed engine.
   ~DagEngine();
 
   DagEngine(const DagEngine&) = delete;
@@ -257,7 +258,10 @@ class DagEngine {
   SourceView local_view(NodeIndex ni) const;
   std::vector<std::byte> serialize_parcel(
       NodeIndex ni, std::span<const std::uint32_t> edge_ids);
+  /// The two parcel kinds' handlers; cost-only, they input dependency
+  /// records instead of computing.
   void process_parcel(const std::vector<std::byte>& buf);
+  void send_parcel(std::uint32_t from, std::uint64_t bytes, Task t);
   void send_contribution(NodeIndex ni, std::uint32_t edge_id);
   void process_contribution(const std::vector<std::byte>& buf);
 
@@ -284,7 +288,6 @@ class DagEngine {
   bool instantiated_ = false;
   /// The last epoch's drain returned: every payload segment is free.
   bool drained_ = true;
-  bool handlers_registered_ = false;
   std::uint64_t epoch_ = 0;
   double last_reset_seconds_ = 0.0;
   std::uint64_t gas_allocs_epoch_ = 0;

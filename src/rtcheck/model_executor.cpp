@@ -20,10 +20,16 @@ void ModelExecutor::spawn(Task t) {
 
 void ModelExecutor::send(std::uint32_t from, std::uint32_t to,
                          std::size_t bytes, Task t) {
-  (void)from;
-  (void)bytes;
   t.locality = to;
-  spawn(std::move(t));
+  if (from == to) {
+    spawn(std::move(t));
+    return;
+  }
+  // Coalescing is off: the parcel comes straight back as a one-parcel
+  // message, delivered without modelled transport.
+  auto out = rt_->submit(from, to, bytes, std::move(t), now());
+  rt_->account_batch(*out.batch, now(), now());
+  for (Task& bt : out.batch->tasks) spawn(std::move(bt));
 }
 
 double ModelExecutor::drain() {
@@ -35,7 +41,7 @@ double ModelExecutor::drain() {
       t = std::move(queue_.front());
       queue_.pop_front();
     }
-    if (t.fn) t.fn();
+    rt_->run(t);
   }
 }
 

@@ -10,7 +10,8 @@ namespace amtfmm::rtcheck {
 
 /// Minimal Executor for rtcheck scenarios: spawn() queues tasks under a
 /// SyncMutex (so enqueues from model threads are themselves schedule
-/// points), and drain() runs them inline on the calling thread.  There are
+/// points), and drain() runs them inline on the calling thread, by the
+/// runtime's run rule (a parcel through its kind's handler).  There are
 /// no worker threads — the harness's model threads are the only
 /// concurrency, which keeps the schedule space exactly the scenario's own.
 class ModelExecutor final : public Executor {

@@ -15,13 +15,15 @@ namespace amtfmm {
 enum class FlushReason : std::uint8_t { kThreshold, kDeadline, kQuiescence };
 
 /// One wire message: every parcel buffered for one (source, destination
-/// locality) pair since the last flush, in append (send) order.
+/// locality) pair since the last flush, in append (send) order; the socket
+/// carries it as it is (net::encode_batch_frame).
 struct ParcelBatch {
   std::uint32_t src = 0;
   std::uint32_t dst = 0;
   std::uint64_t seq = 0;  ///< per-(src,dst) batch sequence number
   std::size_t bytes = 0;  ///< summed wire bytes of the parcels
   bool any_high = false;  ///< at least one high-priority parcel
+  bool coalesced = true;  ///< false: one uncoalesced parcel, no sequence
   FlushReason reason = FlushReason::kThreshold;
   std::vector<Task> tasks;  ///< delivery order == send order
 };

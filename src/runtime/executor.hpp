@@ -12,13 +12,8 @@
 
 namespace amtfmm {
 
-/// One scheduled item of work: in HPX-5 terms this is a parcel that has
-/// reached its destination and become a lightweight thread.
-///
-/// `fn` carries the work (dependency bookkeeping and, in compute mode, the
-/// actual expansion math).  `items` is the task's virtual cost breakdown by
-/// trace class, consumed only by the sim executor; in real mode the work
-/// traces itself via Worker::record.
+/// A task's virtual cost by trace class, consumed only by the sim
+/// executor; in real mode the work traces itself via Worker::record.
 struct CostItem {
   std::uint8_t cls;
   double cost;  // virtual seconds
@@ -26,25 +21,27 @@ struct CostItem {
   std::uint32_t arg = kNoTraceArg;
 };
 
-/// Wire identity of tasks that may cross a *process* boundary (socket
-/// localities).  Kinds partition the parcel namespace: the destination
-/// looks up the handler registered for the kind and hands it the payload.
+/// Parcel kinds: the destination runs the handler registered for a
+/// parcel's kind on its payload.  0 marks local work, not a parcel.
 /// Values below kNetKindUser are reserved for the engine.
 inline constexpr std::uint8_t kNetKindEvalParcel = 1;
 inline constexpr std::uint8_t kNetKindContribution = 2;
 inline constexpr std::uint8_t kNetKindUser = 0x10;
 
+/// One scheduled item of work: in HPX-5 terms a parcel that has reached
+/// its destination and become a lightweight thread.  On every executor a
+/// Task is either a parcel (net_kind != 0: the handler registered for the
+/// kind runs on *net_payload, and `fn` never runs; only parcels cross
+/// localities) or local work (`fn`, run on `locality`).
 struct Task {
-  std::function<void()> fn;
+  std::function<void()> fn;  ///< local work only
   std::uint32_t locality = 0;
   bool high_priority = false;
-  std::vector<CostItem> items;  // sim-mode cost breakdown
-  /// Wire representation for real (multi-process) transports: handler kind
-  /// plus the serialized payload the destination's handler receives.  0
-  /// means the task cannot cross a process boundary (closures do not
-  /// serialize); in-process executors ignore both fields.  The payload
-  /// size is the parcel's logical wire-byte count — the `bytes` passed to
-  /// send() — so wire_bytes == bytes_sent stays exact over sockets.
+  std::vector<CostItem> items;  ///< sim-mode cost breakdown
+  /// A parcel's kind and payload.  Over sockets the payload size is the
+  /// parcel's wire-byte count (the `bytes` passed to send()), so
+  /// wire_bytes == bytes_sent stays exact; the simulator charges the
+  /// modelled `bytes` instead.
   std::uint8_t net_kind = 0;
   std::shared_ptr<const std::vector<std::byte>> net_payload;
 };
@@ -104,8 +101,8 @@ inline int checked_localities(int num_localities, int cores_per_locality) {
 /// std::thread pool (ThreadExecutor) and a discrete-event simulation
 /// (SimExecutor) used for the strong-scaling reproduction (see DESIGN.md).
 /// Both are thin schedulers over one shared LocalityRuntime, which owns
-/// the coalescing buffers, comm counters, trace sink, and quiescence
-/// bookkeeping.
+/// the handler registry, the coalescing buffers, comm counters, trace
+/// sink, and quiescence bookkeeping, and runs every task.
 class Executor {
  public:
   virtual ~Executor();
@@ -128,22 +125,20 @@ class Executor {
     return loc < static_cast<std::uint32_t>(num_localities());
   }
 
-  /// Receiver-side materialization of wire tasks (socket localities): the
-  /// handler registered for a kind turns an arriving parcel's serialized
-  /// payload back into work.  In-process executors ship the closure
-  /// itself, so the default registration is a no-op.  Must be called
-  /// before the matching parcels can arrive (handlers are consulted at
-  /// batch-run time; NetExecutor blocks briefly on late registration).
+  /// The parcel handler registry, one per executor: an arriving parcel
+  /// runs the handler registered for its kind.  Register a kind before
+  /// its parcels can arrive.  Only a socket rank waits for a late
+  /// registration (a peer can run ahead); elsewhere a parcel of an
+  /// unregistered kind aborts.
   using NetHandler = std::function<void(const std::vector<std::byte>&)>;
-  virtual void register_net_handler(std::uint8_t /*kind*/, NetHandler /*h*/) {
-  }
+  void register_net_handler(std::uint8_t kind, NetHandler h);
 
   /// Removes a kind's handler.  A receiver whose parcels outlive their
   /// producer (e.g. a new evaluation starting on a still-connected mesh)
   /// must unregister on teardown: arrivals for the kind then block in the
   /// late-registration wait instead of running a handler whose captured
-  /// state is gone.  Only meaningful on socket localities.
-  virtual void unregister_net_handler(std::uint8_t /*kind*/) {}
+  /// state is gone.
+  void unregister_net_handler(std::uint8_t kind);
 
   /// Enqueues a task at task.locality.
   virtual void spawn(Task t) = 0;
@@ -155,9 +150,10 @@ class Executor {
   /// starts its work from a task instead (see DagEngine::execute).
   virtual bool single_threaded() const { return false; }
 
-  /// Sends a parcel of `bytes` from one locality to another; the task runs
-  /// at the destination after (modelled) transport.  This is the only way
-  /// work crosses localities.
+  /// Sends a parcel of `bytes` from one locality to another; it runs at
+  /// the destination after (modelled) transport.  This is the only way
+  /// work crosses localities, and a closure cannot: it aborts.  A send to
+  /// the sender's own locality is a local spawn, closure or parcel.
   virtual void send(std::uint32_t from, std::uint32_t to, std::size_t bytes,
                     Task t) = 0;
 

@@ -10,7 +10,9 @@
 #include "runtime/coalescer.hpp"
 #include "runtime/counters.hpp"
 #include "runtime/executor.hpp"
+#include "runtime/sync_hook.hpp"
 #include "runtime/trace.hpp"
+#include "support/error.hpp"
 
 namespace amtfmm {
 
@@ -46,11 +48,12 @@ struct RuntimeCounterIds {
 };
 
 /// The executor-agnostic per-process runtime core shared by both execution
-/// substrates: parcel coalescing buffers, communication counters, the trace
-/// sink, and the buffered-parcel quiescence bookkeeping.  ThreadExecutor
-/// and SimExecutor are thin schedulers over this one component — they own
-/// *when* tasks run and what transport costs, while LocalityRuntime owns
-/// *what* is buffered, counted, and traced.
+/// substrates: the parcel handler registry and the run rule, parcel
+/// coalescing buffers, communication counters, the trace sink, and the
+/// buffered-parcel quiescence bookkeeping.  ThreadExecutor and SimExecutor
+/// are thin schedulers over this one component — they own *when* tasks run
+/// and what transport costs, while LocalityRuntime owns *how* a task runs
+/// and *what* is buffered, counted, and traced.
 class LocalityRuntime {
  public:
   /// The outcome of handing one remote parcel to the runtime.
@@ -58,14 +61,16 @@ class LocalityRuntime {
     /// A wire message to put on the transport now (threshold flush, or the
     /// whole single-parcel message when coalescing is off).
     std::optional<ParcelBatch> batch;
-    bool coalesced = false;   ///< batch came from the coalescing buffers
     bool first = false;       ///< parcel landed in an empty buffer
     std::uint64_t epoch = 0;  ///< buffer epoch, for deadline timers
   };
 
+  /// `late_handlers`: parcels can arrive before their kind's handler
+  /// registers (a socket rank's peers run ahead), so run() waits for it.
   LocalityRuntime(int num_localities, int total_workers,
-                  const CoalesceConfig& coalesce)
-      : coalescer_(num_localities, coalesce),
+                  const CoalesceConfig& coalesce, bool late_handlers = false)
+      : late_handlers_(late_handlers),
+        coalescer_(num_localities, coalesce),
         counters_(num_localities),
         trace_(total_workers),
         metrics_(total_workers) {
@@ -95,14 +100,26 @@ class LocalityRuntime {
     }
   }
 
+  /// Sets `kind`'s handler; an empty one unregisters the kind.
+  void set_handler(std::uint8_t kind, Executor::NetHandler h);
+
+  /// The run rule, the same on every executor: a parcel calls the handler
+  /// registered for its kind with its payload (waiting for a late
+  /// registration if late_handlers), and local work calls `fn`.
+  void run(const Task& t);
+
   /// Accounts one logical parcel and either returns it as a ready wire
-  /// message or buffers it.  With coalescing off the parcel always comes
-  /// back as a single-parcel batch (coalesced == false) for the executor to
-  /// transmit directly; with coalescing on, a batch is returned only when
-  /// the append crossed a threshold, and the buffered_ quiescence counter
-  /// is raised *before* the parcel enters the buffer.
+  /// message or buffers it.  Every executor's cross-locality send comes
+  /// through here, and a task without a kind and a payload aborts.  With
+  /// coalescing off the parcel always comes back as a single-parcel batch
+  /// (coalesced == false) for the executor to transmit directly; with
+  /// coalescing on, a batch is returned only when the append crossed a
+  /// threshold, and the buffered_ quiescence counter is raised *before*
+  /// the parcel enters the buffer.
   Outgoing submit(std::uint32_t from, std::uint32_t to, std::size_t bytes,
                   Task t, double now) {
+    AMTFMM_ASSERT_MSG(t.net_kind != 0 && t.net_payload,
+                      "only a parcel crosses localities");
     counters_.on_parcel(to, bytes);
     Outgoing out;
     if (!coalescer_.config().enabled) {
@@ -111,11 +128,11 @@ class LocalityRuntime {
       b.dst = to;
       b.bytes = bytes;
       b.any_high = t.high_priority;
+      b.coalesced = false;
       b.tasks.push_back(std::move(t));
       out.batch = std::move(b);
       return out;
     }
-    out.coalesced = true;
     const std::int64_t cur =
         buffered_.fetch_add(1, std::memory_order_seq_cst) + 1;
     metrics_.gauge_max(metric_worker(), ids_.coalesce_buffered_hw,
@@ -130,10 +147,9 @@ class LocalityRuntime {
   /// Accounts one wire message at transmission: batch counters, flush
   /// reason (coalesced batches only), and the comm trace event with the
   /// executor-supplied start/arrival times.
-  void account_batch(const ParcelBatch& b, double start, double arrival,
-                     bool coalesced) {
+  void account_batch(const ParcelBatch& b, double start, double arrival) {
     counters_.on_batch(b.dst, b.tasks.size(), b.bytes);
-    if (coalesced) {
+    if (b.coalesced) {
       counters_.on_reason(b.reason);
       const int w = metric_worker();
       switch (b.reason) {
@@ -213,6 +229,10 @@ class LocalityRuntime {
   CommStats comm_stats() const { return counters_.snapshot(); }
 
  private:
+  const bool late_handlers_;
+  SyncMutex handlers_mu_;
+  SyncCondVar handlers_cv_;
+  std::array<Executor::NetHandler, 256> handlers_ GUARDED_BY(handlers_mu_);
   ParcelCoalescer coalescer_;
   CommCounters counters_;
   TraceSink trace_;

@@ -4,6 +4,9 @@
 
 #include <array>
 #include <cstring>
+#include <memory>
+
+#include "support/error.hpp"
 
 namespace amtfmm::net {
 
@@ -45,6 +48,23 @@ void store_le(std::byte* p, T v) {
 constexpr std::size_t kBatchHeaderBytes = 32;
 constexpr std::size_t kParcelHeaderBytes = 8;
 
+/// A frame of `payload_bytes`: the 16-byte header written, the payload
+/// left for the caller to fill.
+std::vector<std::byte> new_frame(FrameKind kind, std::size_t payload_bytes) {
+  if (payload_bytes > kMaxFramePayload) {
+    throw net_error("encode_frame: payload exceeds kMaxFramePayload");
+  }
+  std::vector<std::byte> out(sizeof(FrameHeader) + payload_bytes);
+  std::byte* h = out.data();
+  store_le<std::uint32_t>(h + 0, kFrameMagic);
+  store_le<std::uint8_t>(h + 4, static_cast<std::uint8_t>(kind));
+  store_le<std::uint8_t>(h + 5, 0);   // flags
+  store_le<std::uint16_t>(h + 6, 0);  // reserved
+  store_le<std::uint32_t>(h + 8, static_cast<std::uint32_t>(payload_bytes));
+  store_le<std::uint32_t>(h + 12, crc32(h, 12));
+  return out;
+}
+
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t n) {
@@ -57,25 +77,9 @@ std::uint32_t crc32(const void* data, std::size_t n) {
   return c ^ 0xFFFFFFFFu;
 }
 
-std::size_t WireBatch::payload_bytes() const {
-  std::size_t n = 0;
-  for (const auto& p : parcels) n += p.payload.size();
-  return n;
-}
-
 std::vector<std::byte> encode_frame(FrameKind kind,
                                     std::span<const std::byte> payload) {
-  if (payload.size() > kMaxFramePayload) {
-    throw net_error("encode_frame: payload exceeds kMaxFramePayload");
-  }
-  std::vector<std::byte> out(sizeof(FrameHeader) + payload.size());
-  std::byte* h = out.data();
-  store_le<std::uint32_t>(h + 0, kFrameMagic);
-  store_le<std::uint8_t>(h + 4, static_cast<std::uint8_t>(kind));
-  store_le<std::uint8_t>(h + 5, 0);   // flags
-  store_le<std::uint16_t>(h + 6, 0);  // reserved
-  store_le<std::uint32_t>(h + 8, static_cast<std::uint32_t>(payload.size()));
-  store_le<std::uint32_t>(h + 12, crc32(h, 12));
+  std::vector<std::byte> out = new_frame(kind, payload.size());
   if (!payload.empty()) {
     std::memcpy(out.data() + sizeof(FrameHeader), payload.data(),
                 payload.size());
@@ -83,36 +87,42 @@ std::vector<std::byte> encode_frame(FrameKind kind,
   return out;
 }
 
-std::vector<std::byte> encode_batch_frame(const WireBatch& b) {
-  std::size_t body = kBatchHeaderBytes;
-  for (const auto& p : b.parcels) body += kParcelHeaderBytes + p.payload.size();
-  std::vector<std::byte> payload(body);
-  std::byte* q = payload.data();
+std::vector<std::byte> encode_batch_frame(const ParcelBatch& b) {
+  std::size_t payload_bytes = 0;
+  for (const Task& t : b.tasks) {
+    AMTFMM_ASSERT_MSG(t.net_kind != 0 && t.net_payload,
+                      "batch frame: task is not a parcel");
+    payload_bytes += t.net_payload->size();
+  }
+  AMTFMM_ASSERT_MSG(payload_bytes == b.bytes,
+                    "batch frame: payloads are not the parcels' wire bytes");
+  const std::size_t body = kBatchHeaderBytes +
+                           kParcelHeaderBytes * b.tasks.size() + payload_bytes;
+  std::vector<std::byte> out = new_frame(FrameKind::kBatch, body);
+  std::byte* q = out.data() + sizeof(FrameHeader);
   store_le<std::uint32_t>(q + 0, b.src);
   store_le<std::uint32_t>(q + 4, b.dst);
   store_le<std::uint64_t>(q + 8, b.seq);
-  store_le<std::uint32_t>(q + 16,
-                          static_cast<std::uint32_t>(b.parcels.size()));
+  store_le<std::uint32_t>(q + 16, static_cast<std::uint32_t>(b.tasks.size()));
   store_le<std::uint8_t>(q + 20, b.any_high ? 1 : 0);
-  store_le<std::uint8_t>(q + 21, b.reason);
+  store_le<std::uint8_t>(q + 21, static_cast<std::uint8_t>(b.reason));
   store_le<std::uint8_t>(q + 22, b.coalesced ? 1 : 0);
   store_le<std::uint8_t>(q + 23, 0);
-  store_le<std::uint64_t>(q + 24,
-                          static_cast<std::uint64_t>(b.payload_bytes()));
+  store_le<std::uint64_t>(q + 24, static_cast<std::uint64_t>(payload_bytes));
   q += kBatchHeaderBytes;
-  for (const auto& p : b.parcels) {
-    store_le<std::uint32_t>(q + 0,
-                            static_cast<std::uint32_t>(p.payload.size()));
-    store_le<std::uint8_t>(q + 4, p.kind);
-    store_le<std::uint8_t>(q + 5, p.high ? 1 : 0);
+  for (const Task& t : b.tasks) {
+    const std::vector<std::byte>& p = *t.net_payload;
+    store_le<std::uint32_t>(q + 0, static_cast<std::uint32_t>(p.size()));
+    store_le<std::uint8_t>(q + 4, t.net_kind);
+    store_le<std::uint8_t>(q + 5, t.high_priority ? 1 : 0);
     store_le<std::uint16_t>(q + 6, 0);
     q += kParcelHeaderBytes;
-    if (!p.payload.empty()) {
-      std::memcpy(q, p.payload.data(), p.payload.size());
-      q += p.payload.size();
+    if (!p.empty()) {
+      std::memcpy(q, p.data(), p.size());
+      q += p.size();
     }
   }
-  return encode_frame(FrameKind::kBatch, payload);
+  return out;
 }
 
 std::vector<std::byte> encode_control_frame(const ControlMsg& m) {
@@ -128,21 +138,25 @@ std::vector<std::byte> encode_control_frame(const ControlMsg& m) {
   return encode_frame(FrameKind::kControl, payload);
 }
 
-std::optional<WireBatch> decode_batch(std::span<const std::byte> payload,
-                                      std::string* err) {
-  auto fail = [&](const char* why) -> std::optional<WireBatch> {
+std::optional<ParcelBatch> decode_batch(std::span<const std::byte> payload,
+                                        std::string* err) {
+  auto fail = [&](const char* why) -> std::optional<ParcelBatch> {
     if (err) *err = why;
     return std::nullopt;
   };
   if (payload.size() < kBatchHeaderBytes) return fail("batch: short header");
   const std::byte* q = payload.data();
-  WireBatch b;
+  ParcelBatch b;
   b.src = load_le<std::uint32_t>(q + 0);
   b.dst = load_le<std::uint32_t>(q + 4);
   b.seq = load_le<std::uint64_t>(q + 8);
   const std::uint32_t count = load_le<std::uint32_t>(q + 16);
   b.any_high = load_le<std::uint8_t>(q + 20) != 0;
-  b.reason = load_le<std::uint8_t>(q + 21);
+  const std::uint8_t reason = load_le<std::uint8_t>(q + 21);
+  if (reason > static_cast<std::uint8_t>(FlushReason::kQuiescence)) {
+    return fail("batch: unknown flush reason");
+  }
+  b.reason = static_cast<FlushReason>(reason);
   b.coalesced = load_le<std::uint8_t>(q + 22) != 0;
   const std::uint64_t declared = load_le<std::uint64_t>(q + 24);
   // Each parcel needs at least its 8-byte header, so `count` is bounded by
@@ -150,7 +164,7 @@ std::optional<WireBatch> decode_batch(std::span<const std::byte> payload,
   if (count > (payload.size() - kBatchHeaderBytes) / kParcelHeaderBytes) {
     return fail("batch: parcel count exceeds payload");
   }
-  b.parcels.reserve(count);
+  b.tasks.reserve(count);
   std::size_t off = kBatchHeaderBytes;
   std::uint64_t total = 0;
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -158,20 +172,24 @@ std::optional<WireBatch> decode_batch(std::span<const std::byte> payload,
       return fail("batch: truncated parcel header");
     }
     const std::uint32_t nbytes = load_le<std::uint32_t>(q + off);
-    WireParcel p;
-    p.kind = load_le<std::uint8_t>(q + off + 4);
-    p.high = load_le<std::uint8_t>(q + off + 5) != 0;
+    Task t;
+    t.locality = b.dst;
+    t.net_kind = load_le<std::uint8_t>(q + off + 4);
+    t.high_priority = load_le<std::uint8_t>(q + off + 5) != 0;
+    if (t.net_kind == 0) return fail("batch: parcel kind 0");
     off += kParcelHeaderBytes;
     if (payload.size() - off < nbytes) {
       return fail("batch: truncated parcel payload");
     }
-    p.payload.assign(q + off, q + off + nbytes);
+    t.net_payload = std::make_shared<const std::vector<std::byte>>(
+        q + off, q + off + nbytes);
     off += nbytes;
     total += nbytes;
-    b.parcels.push_back(std::move(p));
+    b.tasks.push_back(std::move(t));
   }
   if (off != payload.size()) return fail("batch: trailing garbage");
   if (total != declared) return fail("batch: payload_bytes mismatch");
+  b.bytes = static_cast<std::size_t>(total);
   return b;
 }
 

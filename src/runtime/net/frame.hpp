@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "runtime/coalescer.hpp"
+
 namespace amtfmm::net {
 
 /// Thrown for transport-level failures: bootstrap timeouts, peer death
@@ -33,7 +35,7 @@ inline constexpr std::uint32_t kFrameMagic = 0x414d4650u;  // "PFMA" LE
 inline constexpr std::uint32_t kMaxFramePayload = 1u << 30;
 
 enum class FrameKind : std::uint8_t {
-  kBatch = 1,      ///< payload: one encoded WireBatch
+  kBatch = 1,      ///< payload: one encoded ParcelBatch
   kControl = 2,    ///< payload: one ControlMsg
   kTelemetry = 3,  ///< payload: opaque telemetry sample (see telemetry.hpp)
 };
@@ -75,45 +77,26 @@ struct ControlMsg {
 };
 static_assert(sizeof(ControlMsg) == 32);
 
-/// One parcel inside a batch frame: the destination handler kind plus the
-/// serialized payload.  The payload size IS the parcel's logical
-/// wire-byte count (what the sender passed to Executor::send), so
-/// `wire_bytes == bytes_sent` stays exact over sockets; framing overhead
-/// is accounted separately under net.* counters.
-struct WireParcel {
-  std::uint8_t kind = 0;
-  bool high = false;
-  std::vector<std::byte> payload;
-};
-
-/// A coalesced ParcelBatch in transit form: everything but the closures,
-/// which the destination rebuilds from each parcel's handler kind.
-struct WireBatch {
-  std::uint32_t src = 0;
-  std::uint32_t dst = 0;
-  std::uint64_t seq = 0;    ///< per-(src,dst) sequence (coalesced batches)
-  std::uint8_t reason = 0;  ///< FlushReason of the flush that produced it
-  bool any_high = false;
-  /// False for the coalescing-off single-parcel path: no destination
-  /// re-sequencing (mirrors the in-process executors' semantics).
-  bool coalesced = true;
-  std::vector<WireParcel> parcels;
-
-  /// Summed parcel payload bytes (the batch's logical wire bytes).
-  std::size_t payload_bytes() const;
-};
-
 /// Encodes a complete frame (header + payload) ready for the socket.
 std::vector<std::byte> encode_frame(FrameKind kind,
                                     std::span<const std::byte> payload);
-std::vector<std::byte> encode_batch_frame(const WireBatch& b);
+/// Encodes a parcel batch as one frame, each parcel's payload copied once,
+/// straight into the frame.  Every task must be a parcel, and `b.bytes`
+/// must be the summed payload sizes: a parcel's payload IS its logical
+/// wire-byte count (what the sender passed to Executor::send), so
+/// `wire_bytes == bytes_sent` stays exact over sockets; framing overhead
+/// is accounted separately under net.* counters.
+std::vector<std::byte> encode_batch_frame(const ParcelBatch& b);
 std::vector<std::byte> encode_control_frame(const ControlMsg& m);
 
-/// Decodes a batch-frame payload.  Returns nullopt (with *err set when
-/// non-null) on any malformed or truncated structure; every field is
-/// bounds-checked before use, so hostile input cannot read out of range.
-std::optional<WireBatch> decode_batch(std::span<const std::byte> payload,
-                                      std::string* err);
+/// Decodes a batch-frame payload into a ParcelBatch whose tasks are
+/// parcels at `dst` (kind, high flag and payload; `bytes` is the summed
+/// payload).  Returns nullopt (with *err set when non-null) on any
+/// malformed or truncated structure, a parcel of kind 0 (that would be
+/// local work) or an unknown flush reason; every field is bounds-checked
+/// before use, so hostile input cannot read out of range.
+std::optional<ParcelBatch> decode_batch(std::span<const std::byte> payload,
+                                        std::string* err);
 std::optional<ControlMsg> decode_control(std::span<const std::byte> payload,
                                          std::string* err);
 

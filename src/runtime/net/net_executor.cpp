@@ -16,7 +16,7 @@ NetExecutor::NetExecutor(const NetConfig& cfg, int cores,
                      coalesce, cfg.rank, 1),
       cfg_(cfg),
       transport_(
-          cfg, [this](WireBatch&& b) { on_net_batch(std::move(b)); },
+          cfg, [this](ParcelBatch&& b) { on_net_batch(std::move(b)); },
           [this](const ControlMsg& m) { on_net_control(m); },
           [this](const std::string& why) { on_net_failure(why); }) {
   auto& reg = rt_->counters();
@@ -67,69 +67,14 @@ TraceClock NetExecutor::trace_clock() const {
   return c;
 }
 
-void NetExecutor::register_net_handler(std::uint8_t kind, NetHandler h) {
-  {
-    SyncLockGuard lk(handlers_mu_);
-    handlers_[kind] = std::move(h);
-  }
-  handlers_cv_.notify_all();
-}
-
-void NetExecutor::unregister_net_handler(std::uint8_t kind) {
-  SyncLockGuard lk(handlers_mu_);
-  handlers_[kind] = nullptr;
-}
-
-Executor::NetHandler NetExecutor::wait_handler(std::uint8_t kind) {
-  SyncUniqueLock lk(handlers_mu_);
-  if (!handlers_[kind]) {
-    // A parcel can arrive between transport start and the engine
-    // registering its handlers; block briefly rather than drop.  Sixty
-    // seconds of no registration is a programming error, not latency.
-    // Deadline loop instead of wait_for(pred): see sync_hook.hpp.
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(60);
-    while (!handlers_[kind]) {
-      if (handlers_cv_.wait_until(lk, deadline) == std::cv_status::timeout) {
-        break;
-      }
-    }
-    AMTFMM_ASSERT(bool(handlers_[kind]) &&
-                  "no handler registered for arriving parcel kind");
-  }
-  return handlers_[kind];  // copy: the call runs outside the lock
-}
-
-void NetExecutor::transmit(ParcelBatch b, bool coalesced) {
+void NetExecutor::transmit(ParcelBatch b) {
   AMTFMM_ASSERT(b.src == cfg_.rank && b.dst < cfg_.world);
   const double tn = now();
-  rt_->account_batch(b, tn, tn, coalesced);
+  rt_->account_batch(b, tn, tn);
   if (rt_->trace().enabled()) {
     rt_->trace().record_instant(LocalityRuntime::trace_worker(),
                                 InstantKind::kParcelSend, tn, b.dst);
   }
-  WireBatch wb;
-  wb.src = b.src;
-  wb.dst = b.dst;
-  wb.seq = b.seq;
-  wb.reason = static_cast<std::uint8_t>(b.reason);
-  wb.any_high = b.any_high;
-  wb.coalesced = coalesced;
-  wb.parcels.reserve(b.tasks.size());
-  std::size_t payload_bytes = 0;
-  for (const Task& t : b.tasks) {
-    AMTFMM_ASSERT(t.net_kind != 0 && t.net_payload &&
-                  "remote task without a wire representation");
-    WireParcel p;
-    p.kind = t.net_kind;
-    p.high = t.high_priority;
-    p.payload = *t.net_payload;
-    payload_bytes += p.payload.size();
-    wb.parcels.push_back(std::move(p));
-  }
-  // The payloads are the parcels' logical wire bytes, so wire_bytes ==
-  // bytes_sent stays exact over sockets.
-  AMTFMM_ASSERT(payload_bytes == b.bytes);
   const auto n = static_cast<std::int64_t>(b.tasks.size());
   // Ordering contract with the termination protocol: sent is visible
   // before any peer can observe (and count) the arriving frame.
@@ -139,44 +84,13 @@ void NetExecutor::transmit(ParcelBatch b, bool coalesced) {
                           std::memory_order_relaxed);
   // A false return means the transport failed or stopped and dropped the
   // frame; the failure surfaces from drain(), so nothing hangs on it.
-  (void)transport_.post_batch(b.dst, wb);
-  if (coalesced) rt_->note_batch_consumed(n);
+  (void)transport_.post_batch(b.dst, b);
+  if (b.coalesced) rt_->note_batch_consumed(n);
 }
 
-void NetExecutor::on_net_batch(WireBatch&& wb) {
-  AMTFMM_ASSERT(wb.dst == cfg_.rank && wb.src < cfg_.world);
-  const auto n = static_cast<std::uint64_t>(wb.parcels.size());
-  ParcelBatch b;
-  b.src = wb.src;
-  b.dst = wb.dst;
-  b.seq = wb.seq;
-  b.any_high = wb.any_high;
-  b.tasks.reserve(wb.parcels.size());
-  for (WireParcel& p : wb.parcels) {
-    Task t;
-    t.locality = cfg_.rank;
-    t.high_priority = p.high;
-    t.fn = [this, kind = p.kind, payload = std::move(p.payload)] {
-      wait_handler(kind)(payload);
-    };
-    b.tasks.push_back(std::move(t));
-  }
-  Task w;
-  if (wb.coalesced) {
-    w = batch_task(std::move(b));
-  } else {
-    // A one-parcel message with no sequence to keep: run it directly.
-    w.locality = cfg_.rank;
-    w.high_priority = b.any_high;
-    w.fn = [this, batch = std::make_shared<ParcelBatch>(std::move(b))] {
-      if (rt_->trace().enabled()) {
-        rt_->trace().record_instant(LocalityRuntime::trace_worker(),
-                                    InstantKind::kParcelRecv, now(),
-                                    batch->src);
-      }
-      for (Task& t : batch->tasks) t.fn();
-    };
-  }
+void NetExecutor::on_net_batch(ParcelBatch&& b) {
+  AMTFMM_ASSERT(b.dst == cfg_.rank && b.src < cfg_.world);
+  const auto n = static_cast<std::uint64_t>(b.tasks.size());
   {
     // Once the transport has failed this evaluation is being abandoned:
     // the engine behind the handlers dies during the caller's unwinding,
@@ -184,7 +98,17 @@ void NetExecutor::on_net_batch(WireBatch&& wb) {
     SyncLockGuard lk(mu_);
     if (net_failed_) return;
   }
-  spawn(std::move(w));
+  if (b.coalesced) {
+    spawn(batch_task(std::move(b)));
+  } else {
+    // A one-parcel message with no sequence to keep: its parcel runs as
+    // it arrived, as an uncoalesced in-process parcel does.
+    if (rt_->trace().enabled()) {
+      rt_->trace().record_instant(LocalityRuntime::trace_worker(),
+                                  InstantKind::kParcelRecv, now(), b.src);
+    }
+    for (Task& t : b.tasks) spawn(std::move(t));
+  }
   {
     // Notify under mu_: a follower_wait() or coordinate_round() that saw
     // no work under mu_ is already waiting when this notify lands.

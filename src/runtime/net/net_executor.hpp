@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <optional>
@@ -19,17 +18,15 @@ namespace amtfmm::net {
 /// reached through NetTransport.  The SPMD contract mirrors MPI: every
 /// rank constructs the identical global problem, but only tasks whose
 /// locality equals the local rank run here (locality_is_local()), and
-/// work crosses processes exclusively as serialized parcels — Task::
-/// net_kind + net_payload on the way out, a registered NetHandler on the
-/// way in.  PR 4's no-pointer-crosses-a-locality guarantee is what makes
-/// this a drop-in substrate: the engine's parcels were already fully
-/// serialized bytes.
+/// work crosses processes as it crosses localities on every executor: as
+/// parcels, each a kind plus a serialized payload run at the destination
+/// by the kind's handler, so a ParcelBatch goes on the socket as it is.
 ///
 /// Scheduling: a ThreadExecutor hosting the one locality `rank`, so a
 /// socket rank's tasks run on the same work-stealing deques, inboxes,
-/// park/wake and idle-worker coalescer flushes as in-process localities.
-/// Batches for the other ranks reach transmit(), which puts them on the
-/// socket; arriving batches become tasks that call the registered handlers,
+/// park/wake, idle-worker coalescer flushes and handler registry as
+/// in-process localities.  Batches for the other ranks reach transmit(),
+/// which puts them on the socket; arriving parcels run as spawned tasks,
 /// coalesced ones through ThreadExecutor's per-pair re-sequencer.
 ///
 /// Termination: drain() runs a coordinator/follower protocol over
@@ -46,8 +43,6 @@ class NetExecutor final : public ThreadExecutor {
   NetExecutor(const NetConfig& cfg, int cores, CoalesceConfig coalesce);
   ~NetExecutor() override;
 
-  void register_net_handler(std::uint8_t kind, NetHandler h) override;
-  void unregister_net_handler(std::uint8_t kind) override;
   /// Runs to global quiescence (all ranks, termination protocol) and
   /// returns the wall-clock makespan.  Throws net_error if a peer died
   /// or the byte stream broke — never hangs on a dead mesh.
@@ -73,7 +68,7 @@ class NetExecutor final : public ThreadExecutor {
   /// BEFORE the frame can possibly be received anywhere, and a coalesced
   /// batch leaves the runtime's buffered() count only after the post, so
   /// it stays visible to quiescence detection from take to transmit.
-  void transmit(ParcelBatch b, bool coalesced) override;
+  void transmit(ParcelBatch b) override;
 
  private:
   struct Ack {
@@ -90,10 +85,9 @@ class NetExecutor final : public ThreadExecutor {
   };
 
   /// Progress-thread callbacks.
-  void on_net_batch(WireBatch&& b);
+  void on_net_batch(ParcelBatch&& b);
   void on_net_control(const ControlMsg& m);
   void on_net_failure(const std::string& why);
-  NetHandler wait_handler(std::uint8_t kind);
   /// One coordinator probe round; true when the world terminated.
   bool coordinate_round();
   /// Follower wait: answer probes while quiescent; true on terminate,
@@ -113,10 +107,6 @@ class NetExecutor final : public ThreadExecutor {
   /// right after the mesh comes up; trace_clock() carries it so merged
   /// multi-rank timelines can be offset-corrected.
   ClockSyncResult clock_sync_;
-
-  SyncMutex handlers_mu_;
-  SyncCondVar handlers_cv_;
-  std::array<NetHandler, 256> handlers_ GUARDED_BY(handlers_mu_);
 
   // Termination protocol state.  mu_ guards only this; the scheduler's
   // own state lives in ThreadExecutor.  state_cv_ wakes drain() on control

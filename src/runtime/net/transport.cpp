@@ -221,7 +221,7 @@ void NetTransport::start() {
   progress_ = std::thread([this] { progress_main(); });
 }
 
-bool NetTransport::post_batch(std::uint32_t dst, const WireBatch& b) {
+bool NetTransport::post_batch(std::uint32_t dst, const ParcelBatch& b) {
   AMTFMM_ASSERT(dst < cfg_.world && dst != cfg_.rank);
   OutMsg m;
   m.bytes = encode_batch_frame(b);

@@ -100,7 +100,7 @@ struct ClockSyncResult {
 /// quiescence is never waited on a dead mesh.
 class NetTransport {
  public:
-  using BatchFn = std::function<void(WireBatch&&)>;
+  using BatchFn = std::function<void(ParcelBatch&&)>;
   using ControlFn = std::function<void(const ControlMsg&)>;
   using FailFn = std::function<void(const std::string&)>;
   using TelemetryFn =
@@ -122,7 +122,7 @@ class NetTransport {
   /// backpressure.  Returns false when the frame was dropped because the
   /// transport failed or stopped — the caller's drain() reports the
   /// failure; nothing is silently lost on the success path.
-  bool post_batch(std::uint32_t dst, const WireBatch& b);
+  bool post_batch(std::uint32_t dst, const ParcelBatch& b);
 
   void post_control(std::uint32_t dst, const ControlMsg& m);
   /// Sends a control message to every peer rank (not self).

@@ -44,7 +44,7 @@ void SimExecutor::send(std::uint32_t from, std::uint32_t to,
   }
   auto out = rt_->submit(from, to, bytes, std::move(t), now_);
   if (out.batch) {
-    transmit(std::move(*out.batch), out.coalesced);
+    transmit(std::move(*out.batch));
   } else if (out.first) {
     // Arm a deadline flush for this fill of the buffer.  The timer is a
     // non-live event: if the buffer already flushed (epoch moved on), the
@@ -55,14 +55,14 @@ void SimExecutor::send(std::uint32_t from, std::uint32_t to,
         [this, from, to, epoch = out.epoch, tfire] {
           if (auto b = rt_->take_if_epoch(from, to, epoch)) {
             now_ = std::max(now_, tfire);
-            transmit(std::move(*b), /*coalesced=*/true);
+            transmit(std::move(*b));
           }
         },
         /*live=*/false);
   }
 }
 
-void SimExecutor::transmit(ParcelBatch b, bool coalesced) {
+void SimExecutor::transmit(ParcelBatch b) {
   // One wire message occupies the destination NIC for alpha + beta * bytes
   // and is delivered when the occupancy ends.
   auto& dst = locs_[b.dst];
@@ -70,8 +70,8 @@ void SimExecutor::transmit(ParcelBatch b, bool coalesced) {
   dst.nic_free =
       start + net_.latency + static_cast<double>(b.bytes) / net_.bandwidth;
   const double arrival = dst.nic_free;
-  rt_->account_batch(b, start, arrival, coalesced);
-  if (coalesced) {
+  rt_->account_batch(b, start, arrival);
+  if (b.coalesced) {
     rt_->note_batch_consumed(static_cast<std::int64_t>(b.tasks.size()));
   }
   auto batch = std::make_shared<ParcelBatch>(std::move(b));
@@ -123,9 +123,10 @@ void SimExecutor::run_task(std::uint32_t loc, Task t) {
     for (const CostItem& it : t.items) finish += it.cost;
   }
   rt_->counters().add(0, rt_->ids().tasks_run);
-  post(finish, [this, loc, fn = std::move(t.fn)]() {
+  t.items = {};  // charged; the task body runs at `finish`
+  post(finish, [this, loc, t = std::move(t)]() {
     current_loc_ = static_cast<int>(loc);
-    if (fn) fn();
+    rt_->run(t);
     current_loc_ = -1;
     auto& ls = locs_[loc];
     ls.busy_cores--;
@@ -139,9 +140,7 @@ double SimExecutor::drain() {
     // Quiescence: no live work left, only (possibly stale) deadline timers
     // — flush everything still buffered before giving up.
     if (live_events_ == 0 && rt_->pending()) {
-      for (auto& b : rt_->take_all()) {
-        transmit(std::move(b), /*coalesced=*/true);
-      }
+      for (auto& b : rt_->take_all()) transmit(std::move(b));
       continue;
     }
     if (events_.empty()) break;

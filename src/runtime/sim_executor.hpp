@@ -33,8 +33,8 @@ enum class SchedPolicy { kWorkStealing, kFifo };
 
 /// Discrete-event simulation of the runtime: L localities x C cores on a
 /// virtual clock.  This executes the *actual* DAG — every LCO trigger and
-/// every continuation really runs (with its structural side effects); only
-/// the time each one takes is modelled, via the per-task CostItem
+/// every parcel handler really runs (with its structural side effects);
+/// only the time each one takes is modelled, via the per-task CostItem
 /// breakdowns supplied by the caller and calibrated from measured operator
 /// times (see core/cost_model.hpp).  This is the substitution for the
 /// paper's 4096-core Big Red II runs — see DESIGN.md.
@@ -99,7 +99,7 @@ class SimExecutor final : public Executor {
   void try_dispatch(std::uint32_t loc);
   void run_task(std::uint32_t loc, Task t);
   /// Puts one wire message on the destination NIC and schedules delivery.
-  void transmit(ParcelBatch b, bool coalesced);
+  void transmit(ParcelBatch b);
 
   int num_localities_;
   int cores_;

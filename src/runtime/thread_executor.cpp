@@ -64,8 +64,9 @@ ThreadExecutor::ThreadExecutor(int num_localities, int cores_per_locality,
       inorder_(static_cast<std::size_t>(num_localities) *
                static_cast<std::size_t>(num_localities)),
       epoch_(std::chrono::steady_clock::now()) {
-  rt_ = std::make_unique<LocalityRuntime>(num_localities, nworkers_,
-                                          coalesce);
+  // Localities hosted elsewhere can send before a handler registers here.
+  rt_ = std::make_unique<LocalityRuntime>(num_localities, nworkers_, coalesce,
+                                          hosted < num_localities);
   const int n = nworkers_;
   workers_.reserve(static_cast<std::size_t>(n));
   std::uint64_t sm = seed;
@@ -194,17 +195,17 @@ void ThreadExecutor::send(std::uint32_t from, std::uint32_t to,
     return;
   }
   if (!locality_is_local(to)) {
-    transmit(std::move(*out.batch), out.coalesced);
+    transmit(std::move(*out.batch));
     return;
   }
-  if (out.coalesced) {
+  if (out.batch->coalesced) {
     deliver(std::move(*out.batch));
     return;
   }
   // Coalescing off: transmit the single-parcel message directly, no
   // destination re-sequencing (each message carries exactly one task).
   const double tn = now();
-  rt_->account_batch(*out.batch, tn, tn, /*coalesced=*/false);
+  rt_->account_batch(*out.batch, tn, tn);
   if (rt_->trace().enabled()) {
     const std::uint32_t w = LocalityRuntime::trace_worker();
     rt_->trace().record_instant(w, InstantKind::kParcelSend, tn, to);
@@ -216,7 +217,7 @@ void ThreadExecutor::send(std::uint32_t from, std::uint32_t to,
 void ThreadExecutor::deliver(ParcelBatch b) {
   const auto n = static_cast<std::int64_t>(b.tasks.size());
   const double tn = now();
-  rt_->account_batch(b, tn, tn, /*coalesced=*/true);
+  rt_->account_batch(b, tn, tn);
   if (rt_->trace().enabled()) {
     rt_->trace().record_instant(LocalityRuntime::trace_worker(),
                                 InstantKind::kParcelSend, tn, b.dst);
@@ -232,11 +233,11 @@ void ThreadExecutor::route(ParcelBatch b) {
   if (locality_is_local(b.dst)) {
     deliver(std::move(b));
   } else {
-    transmit(std::move(b), /*coalesced=*/true);
+    transmit(std::move(b));
   }
 }
 
-void ThreadExecutor::transmit(ParcelBatch /*b*/, bool /*coalesced*/) {
+void ThreadExecutor::transmit(ParcelBatch /*b*/) {
   AMTFMM_ASSERT_MSG(false, "batch for a locality this executor does not host");
 }
 
@@ -281,9 +282,7 @@ void ThreadExecutor::run_batch_in_order(ParcelBatch b) {
       io.ready.erase(it);
       ++io.expected;
     }
-    for (Task& t : cur.tasks) {
-      if (t.fn) t.fn();
-    }
+    for (const Task& t : cur.tasks) rt_->run(t);
   }
 }
 
@@ -446,7 +445,7 @@ void ThreadExecutor::worker_loop(int w) {
     if (n != nullptr) {
       Task t = std::move(n->task);
       delete n;
-      if (t.fn) t.fn();
+      rt_->run(t);
       rt_->counters().add(w, rt_->ids().tasks_run);
       if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         // Take the mutex so the notify cannot slip between drain()'s

@@ -17,7 +17,8 @@ namespace amtfmm {
 /// queues and locality-local randomized work stealing, matching the paper's
 /// HPX-5 configuration ("local randomized workstealing for node-local
 /// thread scheduling").  Localities are in-process; send() delivers the
-/// parcel task to a worker of the destination locality and accounts bytes.
+/// parcel to a worker of the destination locality, which runs it through
+/// the handler registered for its kind, and accounts bytes.
 ///
 /// Scheduling fabric (lock-light):
 ///  - each worker owns bounded Chase-Lev deques (ws_deque.hpp); push/pop/
@@ -81,12 +82,11 @@ class ThreadExecutor : public Executor {
                  std::uint32_t first, int hosted);
 
   /// Puts a batch bound for a locality this executor does not host on the
-  /// wire (`coalesced` is false for the one-parcel message of an
-  /// uncoalesced send).  A coalesced batch's parcels stay counted in the
-  /// runtime's buffered() until the override calls note_batch_consumed().
-  /// Called from tasks, idle workers and drain(); an executor that hosts
-  /// every locality never calls it.
-  virtual void transmit(ParcelBatch b, bool coalesced);
+  /// wire.  A coalesced batch's parcels stay counted in the runtime's
+  /// buffered() until the override calls note_batch_consumed().  Called
+  /// from tasks, idle workers and drain(); an executor that hosts every
+  /// locality never calls it.
+  virtual void transmit(ParcelBatch b);
 
   /// The task that runs coalesced batch `b` at its (hosted) destination,
   /// re-sequenced with the other batches of its (src, dst) pair.

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -98,7 +99,11 @@ TEST(EvalPipeline, ParcelSentBetweenEpochsStaysOutOfTheNextEpoch) {
   EvalPipeline pipe(*kernel, small_cfg(), p.sources, p.targets, ex);
   const EvalResult first = pipe.evaluate(p.charges);
   ASSERT_GT(first.wire_bytes, 0u);
-  ex.send(0, 1, 64, Task{});
+  ex.register_net_handler(kNetKindUser, [](const std::vector<std::byte>&) {});
+  Task gather;
+  gather.net_kind = kNetKindUser;
+  gather.net_payload = std::make_shared<const std::vector<std::byte>>(64);
+  ex.send(0, 1, 64, std::move(gather));
   const EvalResult second = pipe.evaluate(p.charges);
   EXPECT_EQ(second.wire_bytes, first.wire_bytes);
   EXPECT_EQ(second.bytes_sent, first.bytes_sent);

@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -23,6 +25,31 @@ CoalesceConfig coalesce_on(std::uint32_t max_parcels = 32,
   return c;
 }
 
+/// A parcel of kind kNetKindUser whose payload carries `v`: only parcels
+/// cross localities, and each runs through the receiver's handler.
+Task parcel(int v = 0) {
+  auto buf = std::make_shared<std::vector<std::byte>>(sizeof(v));
+  std::memcpy(buf->data(), &v, sizeof(v));
+  Task t;
+  t.net_kind = kNetKindUser;
+  t.net_payload = std::move(buf);
+  return t;
+}
+
+int value_of(const std::vector<std::byte>& payload) {
+  int v = 0;
+  EXPECT_EQ(payload.size(), sizeof(v));
+  std::memcpy(&v, payload.data(), sizeof(v));
+  return v;
+}
+
+/// Registers a kNetKindUser handler that counts the parcels it runs.
+void count_parcels(Executor& ex, std::atomic<int>& ran) {
+  ex.register_net_handler(kNetKindUser, [&ran](const std::vector<std::byte>&) {
+    ran.fetch_add(1);
+  });
+}
+
 /// Runs `body` inside a worker task on locality 0 and drains.  With one
 /// core per locality the sender occupies locality 0's only worker, so no
 /// idle-path flush can race with the sends — flush counts are exact.
@@ -37,11 +64,10 @@ void run_on_worker(ThreadExecutor& ex, Fn body) {
 TEST(Coalescing, FlushOnParcelThreshold) {
   ThreadExecutor ex(2, 1, 1, coalesce_on(4));
   std::atomic<int> ran{0};
-  run_on_worker(ex, [&ex, &ran] {
+  count_parcels(ex, ran);
+  run_on_worker(ex, [&ex] {
     for (int i = 0; i < 8; ++i) {
-      Task t;
-      t.fn = [&ran] { ran.fetch_add(1); };
-      ex.send(0, 1, 100, std::move(t));
+      ex.send(0, 1, 100, parcel());
     }
   });
   EXPECT_EQ(ran.load(), 8);
@@ -61,11 +87,10 @@ TEST(Coalescing, FlushOnByteThreshold) {
   ThreadExecutor ex(2, 1, 1,
                     coalesce_on(1000, /*max_bytes=*/1000));
   std::atomic<int> ran{0};
-  run_on_worker(ex, [&ex, &ran] {
+  count_parcels(ex, ran);
+  run_on_worker(ex, [&ex] {
     for (int i = 0; i < 3; ++i) {
-      Task t;
-      t.fn = [&ran] { ran.fetch_add(1); };
-      ex.send(0, 1, 400, std::move(t));  // crosses 1000 bytes on the 3rd
+      ex.send(0, 1, 400, parcel());  // crosses 1000 bytes on the 3rd
     }
   });
   EXPECT_EQ(ran.load(), 3);
@@ -80,11 +105,10 @@ TEST(Coalescing, FlushOnQuiescenceStrandsNothing) {
   // deliver, and drain() must not return before they do.
   ThreadExecutor ex(2, 1, 1, coalesce_on(1000));
   std::atomic<int> ran{0};
-  run_on_worker(ex, [&ex, &ran] {
+  count_parcels(ex, ran);
+  run_on_worker(ex, [&ex] {
     for (int i = 0; i < 5; ++i) {
-      Task t;
-      t.fn = [&ran] { ran.fetch_add(1); };
-      ex.send(0, 1, 64, std::move(t));
+      ex.send(0, 1, 64, parcel());
     }
   });
   EXPECT_EQ(ran.load(), 5);
@@ -97,12 +121,11 @@ TEST(Coalescing, FlushOnQuiescenceStrandsNothing) {
 TEST(Coalescing, RepeatedDrainsReuseBuffers) {
   ThreadExecutor ex(2, 1, 1, coalesce_on(1000));
   std::atomic<int> ran{0};
+  count_parcels(ex, ran);
   for (int round = 0; round < 3; ++round) {
-    run_on_worker(ex, [&ex, &ran] {
+    run_on_worker(ex, [&ex] {
       for (int i = 0; i < 4; ++i) {
-        Task t;
-        t.fn = [&ran] { ran.fetch_add(1); };
-        ex.send(0, 1, 32, std::move(t));
+        ex.send(0, 1, 32, parcel());
       }
     });
     EXPECT_EQ(ran.load(), 4 * (round + 1));
@@ -117,11 +140,13 @@ TEST(Coalescing, DeliversWithoutDrainWhileWorkersBusy) {
   ThreadExecutor ex(2, 2, 1,
                     coalesce_on(1000, 1 << 20, /*deadline=*/0.0));
   std::atomic<bool> delivered{false};
+  ex.register_net_handler(kNetKindUser,
+                          [&delivered](const std::vector<std::byte>&) {
+                            delivered.store(true);
+                          });
   Task sender;
   sender.fn = [&ex, &delivered] {
-    Task t;
-    t.fn = [&delivered] { delivered.store(true); };
-    ex.send(0, 1, 64, std::move(t));
+    ex.send(0, 1, 64, parcel());
     const auto t0 = std::chrono::steady_clock::now();
     while (!delivered.load() &&
            std::chrono::steady_clock::now() - t0 < std::chrono::seconds(10)) {
@@ -145,17 +170,19 @@ TEST(Coalescing, PreservesPerPairFifoUnderConcurrentSenders) {
   ThreadExecutor ex(2, 4, 1, coalesce_on(3));
   std::mutex mu;
   std::vector<std::vector<int>> seen(kSenders);
+  // Each parcel carries sndr * kPerSender + seq.
+  ex.register_net_handler(
+      kNetKindUser, [&mu, &seen](const std::vector<std::byte>& b) {
+        const int v = value_of(b);
+        const auto sndr = static_cast<std::size_t>(v / kPerSender);
+        std::lock_guard lk(mu);
+        seen[sndr].push_back(v % kPerSender);
+      });
   for (int sndr = 0; sndr < kSenders; ++sndr) {
     Task producer;
-    producer.fn = [&ex, &mu, &seen, sndr] {
+    producer.fn = [&ex, sndr] {
       for (int seq = 0; seq < kPerSender; ++seq) {
-        Task t;
-        t.locality = 1;
-        t.fn = [&mu, &seen, sndr, seq] {
-          std::lock_guard lk(mu);
-          seen[static_cast<std::size_t>(sndr)].push_back(seq);
-        };
-        ex.send(0, 1, 16, std::move(t));
+        ex.send(0, 1, 16, parcel(sndr * kPerSender + seq));
       }
     };
     ex.spawn(std::move(producer));
@@ -177,9 +204,8 @@ TEST(Coalescing, PreservesPerPairFifoUnderConcurrentSenders) {
 
 TEST(Coalescing, DisabledMatchesLegacyAccounting) {
   ThreadExecutor ex(2, 1);  // coalescing off by default
-  Task t;
-  t.fn = [] {};
-  ex.send(0, 1, 1000, std::move(t));
+  ex.register_net_handler(kNetKindUser, [](const std::vector<std::byte>&) {});
+  ex.send(0, 1, 1000, parcel());
   ex.drain();
   const CommStats s = ex.comm_stats();
   EXPECT_EQ(s.parcels, 1u);
@@ -194,10 +220,9 @@ TEST(SimCoalescing, QuiescenceFlushDeliversBufferedParcels) {
   net.task_overhead = 0.0;
   SimExecutor ex(2, 1, SchedPolicy::kFifo, net, 1, coalesce_on(1000));
   std::atomic<int> ran{0};
+  count_parcels(ex, ran);
   for (int i = 0; i < 3; ++i) {
-    Task t;
-    t.fn = [&ran] { ran.fetch_add(1); };
-    ex.send(0, 1, 1000, std::move(t));  // 1 ms wire time each
+    ex.send(0, 1, 1000, parcel());  // 1 ms wire time each
   }
   ex.drain();
   EXPECT_EQ(ran.load(), 3);
@@ -222,9 +247,11 @@ TEST(SimCoalescing, DeadlineTimerFlushesWhileWorkBlocks) {
   busy.items = {{kClsOther, 10.0}};
   ex.spawn(std::move(busy));
   double arrival = -1.0;
-  Task t;
-  t.fn = [&arrival, &ex] { arrival = ex.now(); };
-  ex.send(0, 1, 100000, std::move(t));  // 0.1 s wire time
+  ex.register_net_handler(kNetKindUser,
+                          [&arrival, &ex](const std::vector<std::byte>&) {
+                            arrival = ex.now();
+                          });
+  ex.send(0, 1, 100000, parcel());  // 0.1 s wire time
   ex.drain();
   // Timer fires at 0.5; occupancy = alpha + beta*bytes = 0.2 more.
   EXPECT_NEAR(arrival, 0.7, 1e-9);
@@ -239,10 +266,9 @@ TEST(SimCoalescing, StaleDeadlineTimerIsIgnored) {
   SimExecutor ex(2, 1, SchedPolicy::kFifo, NetworkModel{0, 1e9, 0}, 1,
                  coalesce_on(2, 1 << 20, /*deadline=*/0.5));
   std::atomic<int> ran{0};
+  count_parcels(ex, ran);
   for (int i = 0; i < 2; ++i) {
-    Task t;
-    t.fn = [&ran] { ran.fetch_add(1); };
-    ex.send(0, 1, 100, std::move(t));
+    ex.send(0, 1, 100, parcel());
   }
   ex.drain();
   EXPECT_EQ(ran.load(), 2);
@@ -261,10 +287,10 @@ TEST(SimCoalescing, ReducesNetworkTimeOnLatencyBoundTraffic) {
   net.task_overhead = 0.0;
   auto run = [&](CoalesceConfig c) {
     SimExecutor ex(2, 1, SchedPolicy::kFifo, net, 1, c);
+    ex.register_net_handler(kNetKindUser,
+                            [](const std::vector<std::byte>&) {});
     for (int i = 0; i < 100; ++i) {
-      Task t;
-      t.fn = [] {};
-      ex.send(0, 1, 100, std::move(t));
+      ex.send(0, 1, 100, parcel());
     }
     ex.drain();
     return ex.now();
@@ -279,10 +305,9 @@ TEST(SimCoalescing, CommTraceMatchesBatchCounters) {
   SimExecutor ex(3, 1, SchedPolicy::kFifo, NetworkModel{1e-6, 1e9, 0}, 1,
                  coalesce_on(4));
   ex.trace().set_enabled(true);
+  ex.register_net_handler(kNetKindUser, [](const std::vector<std::byte>&) {});
   for (int i = 0; i < 24; ++i) {
-    Task t;
-    t.fn = [] {};
-    ex.send(0, static_cast<std::uint32_t>(1 + i % 2), 50, std::move(t));
+    ex.send(0, static_cast<std::uint32_t>(1 + i % 2), 50, parcel());
   }
   ex.drain();
   const CommStats s = ex.comm_stats();

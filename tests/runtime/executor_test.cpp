@@ -1,12 +1,32 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
+#include <memory>
 
 #include "runtime/sim_executor.hpp"
 #include "runtime/thread_executor.hpp"
 
 namespace amtfmm {
 namespace {
+
+/// A parcel of kind kNetKindUser whose payload carries `v`: only parcels
+/// cross localities, and each runs through the receiver's handler.
+Task parcel(int v) {
+  auto buf = std::make_shared<std::vector<std::byte>>(sizeof(v));
+  std::memcpy(buf->data(), &v, sizeof(v));
+  Task t;
+  t.net_kind = kNetKindUser;
+  t.net_payload = std::move(buf);
+  return t;
+}
+
+int value_of(const std::vector<std::byte>& payload) {
+  int v = 0;
+  EXPECT_EQ(payload.size(), sizeof(v));
+  std::memcpy(&v, payload.data(), sizeof(v));
+  return v;
+}
 
 TEST(ThreadExecutor, RunsAllSpawnedTasks) {
   ThreadExecutor ex(2, 2);
@@ -52,17 +72,18 @@ TEST(ThreadExecutor, TasksRunOnTheirLocality) {
     };
     ex.spawn(std::move(t));
   }
-  // Sent tasks run at their destination, never at the sender.
+  // Sent parcels run at their destination, never at the sender.
+  ex.register_net_handler(
+      kNetKindUser, [&misplaced, &ex, cores](const std::vector<std::byte>& b) {
+        const int to = value_of(b);
+        if (current_worker() / cores != to || ex.current_locality() != to) {
+          misplaced.fetch_add(1);
+        }
+      });
   for (int i = 0; i < 300; ++i) {
     const int to = (i + 1) % 3;
-    Task t;
-    t.fn = [&misplaced, &ex, to, cores] {
-      if (current_worker() / cores != to || ex.current_locality() != to) {
-        misplaced.fetch_add(1);
-      }
-    };
     ex.send(static_cast<std::uint32_t>(i % 3), static_cast<std::uint32_t>(to),
-            64, std::move(t));
+            64, parcel(to));
   }
   ex.drain();
   EXPECT_EQ(misplaced.load(), 0)
@@ -100,9 +121,10 @@ TEST(ThreadExecutor, SendAccountsOnlyRemoteTraffic) {
   Task a;
   a.fn = [&ran] { ran.fetch_add(1); };
   ex.send(0, 0, 1000, std::move(a));  // local: free
-  Task b;
-  b.fn = [&ran] { ran.fetch_add(1); };
-  ex.send(0, 1, 1000, std::move(b));  // remote
+  ex.register_net_handler(kNetKindUser, [&ran](const std::vector<std::byte>&) {
+    ran.fetch_add(1);
+  });
+  ex.send(0, 1, 1000, parcel(0));  // remote
   ex.drain();
   EXPECT_EQ(ran.load(), 2);
   EXPECT_EQ(ex.bytes_sent(), 1000u);
@@ -179,9 +201,11 @@ TEST(SimExecutor, NetworkLatencyAndBandwidthDelayDelivery) {
   net.task_overhead = 0.0;
   SimExecutor ex(2, 1, SchedPolicy::kFifo, net);
   double arrival = -1;
-  Task t;
-  t.fn = [&arrival, &ex] { arrival = ex.now(); };
-  ex.send(0, 1, 1000000000, std::move(t));
+  ex.register_net_handler(kNetKindUser,
+                          [&arrival, &ex](const std::vector<std::byte>&) {
+                            arrival = ex.now();
+                          });
+  ex.send(0, 1, 1000000000, parcel(0));
   ex.drain();
   EXPECT_NEAR(arrival, 1.001, 1e-9);
   EXPECT_EQ(ex.bytes_sent(), 1000000000u);
@@ -194,10 +218,12 @@ TEST(SimExecutor, NicSerializesSuccessiveSends) {
   net.task_overhead = 0.0;
   SimExecutor ex(2, 1, SchedPolicy::kFifo, net);
   std::vector<double> arrivals;
+  ex.register_net_handler(kNetKindUser,
+                          [&arrivals, &ex](const std::vector<std::byte>&) {
+                            arrivals.push_back(ex.now());
+                          });
   for (int i = 0; i < 3; ++i) {
-    Task t;
-    t.fn = [&arrivals, &ex] { arrivals.push_back(ex.now()); };
-    ex.send(0, 1, 1000000, std::move(t));  // 1 s of wire time each
+    ex.send(0, 1, 1000000, parcel(i));  // 1 s of wire time each
   }
   ex.drain();
   ASSERT_EQ(arrivals.size(), 3u);
@@ -250,8 +276,9 @@ TEST(SimExecutor, TraceEventsCarryVirtualTimes) {
 
 TEST(Executor, SentParcelsRunAtTheirTarget) {
   // The same three parcels on both executors: each runs on its target
-  // locality, carries its value in the task, and counts as one remote
-  // parcel; on the simulator it also takes virtual time.
+  // locality through the handler for its kind, carries its value in its
+  // payload, and counts as one remote parcel; on the simulator it also
+  // takes virtual time.
   ThreadExecutor threads(2, 2);
   SimExecutor sim(2, 1);
   for (Executor* ex : {static_cast<Executor*>(&threads),
@@ -259,15 +286,17 @@ TEST(Executor, SentParcelsRunAtTheirTarget) {
     constexpr std::uint32_t kTarget = 1;
     std::atomic<int> sum{0};
     std::atomic<int> wrong_locality{0};
+    ex->register_net_handler(
+        kNetKindUser,
+        [ex, &sum, &wrong_locality](const std::vector<std::byte>& b) {
+          if (ex->current_locality() != static_cast<int>(kTarget)) {
+            wrong_locality.fetch_add(1);
+          }
+          sum.fetch_add(value_of(b));
+        });
     for (int i = 1; i <= 3; ++i) {
-      Task t;
+      Task t = parcel(i);
       t.items = {{kClsNetwork, 1e-6}};  // virtual cost on the simulator
-      t.fn = [ex, &sum, &wrong_locality, i] {
-        if (ex->current_locality() != static_cast<int>(kTarget)) {
-          wrong_locality.fetch_add(1);
-        }
-        sum.fetch_add(i);
-      };
       ex->send(/*from=*/0, kTarget, sizeof(int) + 32, std::move(t));
     }
     ex->drain();
@@ -277,6 +306,49 @@ TEST(Executor, SentParcelsRunAtTheirTarget) {
   }
   EXPECT_GT(sim.now(), 0.0) << "simulated parcels take virtual time";
 }
+
+#if GTEST_HAS_DEATH_TEST
+TEST(ExecutorDeathTest, ClosureSentAcrossLocalitiesAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto send_closure = [](Executor& ex) {
+    Task t;
+    t.fn = [] {};
+    ex.send(0, 1, 64, std::move(t));
+    ex.drain();
+  };
+  EXPECT_DEATH(
+      {
+        ThreadExecutor ex(2, 1);
+        send_closure(ex);
+      },
+      "only a parcel");
+  EXPECT_DEATH(
+      {
+        SimExecutor ex(2, 1);
+        send_closure(ex);
+      },
+      "only a parcel");
+  // A send to the sender's own locality is a local spawn: a closure may.
+  SimExecutor ex(2, 1);
+  bool ran = false;
+  Task t;
+  t.fn = [&ran] { ran = true; };
+  ex.send(1, 1, 64, std::move(t));
+  ex.drain();
+  EXPECT_TRUE(ran);
+}
+
+TEST(ExecutorDeathTest, UnregisteredParcelKindAbortsOnTheSimulator) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        SimExecutor ex(2, 1);
+        ex.send(0, 1, 64, parcel(7));
+        ex.drain();
+      },
+      "no handler registered");
+}
+#endif
 
 }  // namespace
 }  // namespace amtfmm

@@ -56,15 +56,14 @@ CoalesceConfig coalescing(bool on, std::uint32_t max_parcels = 4) {
   return c;
 }
 
-/// A wire task: `kind` plus a payload carrying `value`.  The closure is a
-/// no-op — a socket rank runs the receiver's registered handler instead.
+/// A parcel: `kind` plus a payload carrying `value`, run by the
+/// receiver's handler for the kind.
 Task wire_task(std::uint8_t kind, std::uint64_t value) {
   auto buf = std::make_shared<std::vector<std::byte>>(sizeof(value));
   std::memcpy(buf->data(), &value, sizeof(value));
   Task t;
   t.net_kind = kind;
   t.net_payload = std::move(buf);
-  t.fn = [] {};
   return t;
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -18,26 +19,38 @@ std::vector<std::byte> bytes_of(const std::string& s) {
   return v;
 }
 
-WireBatch sample_batch() {
-  WireBatch b;
-  b.src = 2;
-  b.dst = 5;
-  b.seq = 41;
-  b.reason = 3;
-  b.any_high = true;
-  b.coalesced = true;
-  WireParcel p0;
-  p0.kind = 1;
-  p0.high = true;
-  p0.payload = bytes_of("hello parcel");
-  WireParcel p1;
-  p1.kind = 2;
-  p1.payload = bytes_of("");
-  WireParcel p2;
-  p2.kind = 0x10;
-  p2.payload = bytes_of(std::string(1000, 'x'));
-  b.parcels = {p0, p1, p2};
+/// A parcel at locality `dst` carrying `text`.
+Task parcel(std::uint8_t kind, bool high, std::uint32_t dst,
+            const std::string& text) {
+  Task t;
+  t.locality = dst;
+  t.high_priority = high;
+  t.net_kind = kind;
+  t.net_payload =
+      std::make_shared<const std::vector<std::byte>>(bytes_of(text));
+  return t;
+}
+
+/// A batch of `parcels`, its byte count their summed payloads.
+ParcelBatch batch_of(std::uint32_t src, std::uint32_t dst, std::uint64_t seq,
+                     FlushReason reason, std::vector<Task> parcels) {
+  ParcelBatch b;
+  b.src = src;
+  b.dst = dst;
+  b.seq = seq;
+  b.reason = reason;
+  for (const Task& t : parcels) {
+    b.bytes += t.net_payload->size();
+    b.any_high = b.any_high || t.high_priority;
+  }
+  b.tasks = std::move(parcels);
   return b;
+}
+
+ParcelBatch sample_batch() {
+  return batch_of(2, 5, 41, FlushReason::kQuiescence,
+                  {parcel(1, true, 5, "hello parcel"), parcel(2, false, 5, ""),
+                   parcel(0x10, false, 5, std::string(1000, 'x'))});
 }
 
 /// Feeds `wire` to a decoder in chunks of `step` bytes and returns every
@@ -62,7 +75,7 @@ TEST(Crc32, MatchesIeeeCheckVector) {
 }
 
 TEST(FrameCodec, BatchRoundTripsThroughWireBytes) {
-  const WireBatch b = sample_batch();
+  const ParcelBatch b = sample_batch();
   const auto wire = encode_batch_frame(b);
   FrameDecoder d;
   d.feed(wire.data(), wire.size());
@@ -78,13 +91,52 @@ TEST(FrameCodec, BatchRoundTripsThroughWireBytes) {
   EXPECT_EQ(got->reason, b.reason);
   EXPECT_EQ(got->any_high, b.any_high);
   EXPECT_EQ(got->coalesced, b.coalesced);
-  ASSERT_EQ(got->parcels.size(), b.parcels.size());
-  for (std::size_t i = 0; i < b.parcels.size(); ++i) {
-    EXPECT_EQ(got->parcels[i].kind, b.parcels[i].kind);
-    EXPECT_EQ(got->parcels[i].high, b.parcels[i].high);
-    EXPECT_EQ(got->parcels[i].payload, b.parcels[i].payload);
+  ASSERT_EQ(got->tasks.size(), b.tasks.size());
+  for (std::size_t i = 0; i < b.tasks.size(); ++i) {
+    const Task& t = got->tasks[i];
+    EXPECT_EQ(t.locality, b.dst) << "a decoded parcel runs at dst";
+    EXPECT_EQ(t.net_kind, b.tasks[i].net_kind);
+    EXPECT_EQ(t.high_priority, b.tasks[i].high_priority);
+    ASSERT_TRUE(t.net_payload);
+    EXPECT_EQ(*t.net_payload, *b.tasks[i].net_payload);
+    EXPECT_FALSE(t.fn) << "a decoded parcel carries no closure";
   }
-  EXPECT_EQ(got->payload_bytes(), b.payload_bytes());
+  EXPECT_EQ(got->bytes, b.bytes);
+}
+
+/// Lower-case hex of `bytes`, for readable layout mismatches.
+std::string hex(const std::vector<std::byte>& bytes) {
+  static const char* digits = "0123456789abcdef";
+  std::string out;
+  for (const std::byte b : bytes) {
+    out += digits[static_cast<unsigned>(b) >> 4];
+    out += digits[static_cast<unsigned>(b) & 0xf];
+  }
+  return out;
+}
+
+TEST(FrameCodec, BatchFrameLayoutIsPinned) {
+  // Three parcels of mixed kinds, one high-priority and one empty, in a
+  // coalesced batch flushed on its deadline: every byte of the frame is
+  // fixed, so a codec change cannot alter what goes on the socket.
+  const ParcelBatch b = batch_of(
+      1, 3, 7, FlushReason::kDeadline,
+      {parcel(1, true, 3, "abc"), parcel(2, false, 3, ""),
+       parcel(0x10, false, 3, std::string("\x00\x01\x02\x03\x04", 5))});
+  ASSERT_TRUE(b.coalesced);
+  const std::string expected =
+      // Frame header: magic, kind kBatch, flags, reserved, 64 payload
+      // bytes, header CRC.
+      "50464d41" "01" "00" "0000" "40000000" "388c408c"
+      // Batch header: src 1, dst 3, seq 7, 3 parcels, any_high, reason
+      // kDeadline, coalesced, pad, 8 payload bytes.
+      "01000000" "03000000" "0700000000000000" "03000000"
+      "01" "01" "01" "00" "0800000000000000"
+      // Parcels: length, kind, high, reserved, payload.
+      "03000000" "01" "01" "0000" "616263"
+      "00000000" "02" "00" "0000"
+      "05000000" "10" "00" "0000" "0001020304";
+  EXPECT_EQ(hex(encode_batch_frame(b)), expected);
 }
 
 TEST(FrameCodec, ControlRoundTripsEveryType) {
@@ -226,6 +278,16 @@ TEST(BatchDecode, MalformedPayloadsRejectedWithoutUB) {
     const std::uint32_t big = 0x00ffffff;
     std::memcpy(p.data() + 32, &big, 4);  // first parcel header
     cases.push_back({"parcel length overruns", std::move(p)});
+  }
+  {  // kind 0 is local work, never a parcel
+    std::vector<std::byte> p(good.begin(), good.end());
+    p[32 + 4] = std::byte{0};  // first parcel's kind
+    cases.push_back({"parcel kind 0", std::move(p)});
+  }
+  {  // flush reasons end at kQuiescence (2)
+    std::vector<std::byte> p(good.begin(), good.end());
+    p[21] = std::byte{3};
+    cases.push_back({"unknown flush reason", std::move(p)});
   }
   for (auto& c : cases) {
     err.clear();

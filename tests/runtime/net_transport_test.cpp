@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -53,17 +54,20 @@ std::vector<std::byte> bytes_of(const std::string& s) {
   return v;
 }
 
-WireBatch one_parcel_batch(std::uint32_t src, std::uint32_t dst,
-                           std::uint64_t seq, const std::string& text) {
-  WireBatch b;
+ParcelBatch one_parcel_batch(std::uint32_t src, std::uint32_t dst,
+                             std::uint64_t seq, const std::string& text) {
+  ParcelBatch b;
   b.src = src;
   b.dst = dst;
   b.seq = seq;
+  b.bytes = text.size();
   b.coalesced = false;
-  WireParcel p;
-  p.kind = 1;
-  p.payload = bytes_of(text);
-  b.parcels.push_back(std::move(p));
+  Task p;
+  p.locality = dst;
+  p.net_kind = 1;
+  p.net_payload =
+      std::make_shared<const std::vector<std::byte>>(bytes_of(text));
+  b.tasks.push_back(std::move(p));
   return b;
 }
 
@@ -72,12 +76,12 @@ WireBatch one_parcel_batch(std::uint32_t src, std::uint32_t dst,
 struct Sink {
   std::mutex mu;
   std::condition_variable cv;
-  std::vector<WireBatch> batches;
+  std::vector<ParcelBatch> batches;
   std::vector<ControlMsg> controls;
   std::vector<std::string> failures;
 
   NetTransport::BatchFn batch_fn() {
-    return [this](WireBatch&& b) {
+    return [this](ParcelBatch&& b) {
       std::lock_guard<std::mutex> lk(mu);
       batches.push_back(std::move(b));
       cv.notify_all();
@@ -137,8 +141,8 @@ TEST_P(NetTransportPairTest, BatchesAndControlsRoundTripBothWays) {
   {
     std::lock_guard<std::mutex> lk(s1.mu);
     EXPECT_EQ(s1.batches[0].src, 0u);
-    ASSERT_EQ(s1.batches[0].parcels.size(), 1u);
-    EXPECT_EQ(s1.batches[0].parcels[0].payload, bytes_of("zero to one"));
+    ASSERT_EQ(s1.batches[0].tasks.size(), 1u);
+    EXPECT_EQ(*s1.batches[0].tasks[0].net_payload, bytes_of("zero to one"));
     EXPECT_EQ(s1.controls[0].type,
               static_cast<std::uint8_t>(ControlType::kProbe));
     EXPECT_EQ(s1.controls[0].a, 7u);

@@ -178,6 +178,7 @@ int run(int argc, char** argv) {
   }
 
   if (cli.i64("n") < 1) throw config_error("--n must be >= 1");
+  if (cli.i64("batch") < 0) throw config_error("--batch must be >= 0");
   const auto n = static_cast<std::size_t>(cli.i64("n"));
   const auto seed = static_cast<std::uint64_t>(cli.i64("seed"));
   const int epochs = std::max(2, static_cast<int>(cli.i64("epochs")));
