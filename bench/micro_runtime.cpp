@@ -12,17 +12,16 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common.hpp"
 #include "core/engine.hpp"
+#include "core/pipeline.hpp"
 #include "kernels/kernel.hpp"
 #include "runtime/lco_arena.hpp"
 #include "runtime/net/transport.hpp"
@@ -117,38 +116,21 @@ void BM_SimEventRate(benchmark::State& state) {
 }
 BENCHMARK(BM_SimEventRate)->Arg(10000)->Arg(100000);
 
-/// The engine's reduction of one input message: parse its WireRecords and
-/// add each record's coefficients into the node's accumulator.  Runs under
-/// the node's stripe lock.
-void reduce_records(std::span<const std::byte> msg, CoeffVec& acc) {
-  std::size_t off = 0;
-  while (off < msg.size()) {
-    WireRecord h;
-    std::memcpy(&h, msg.data() + off, sizeof(h));
-    off += sizeof(h);
-    const auto* in = reinterpret_cast<const cdouble*>(msg.data() + off);
-    if (acc.size() < h.count) acc.resize(h.count);
-    for (std::uint32_t i = 0; i < h.count; ++i) acc[i] += in[i];
-    off += h.count * sizeof(cdouble);
-  }
-}
-
-// Fan-in: N inputs, each one wire-record message with a coefficient
-// payload, racing from every worker into one arena node — the contention
-// shape of a high-in-degree expansion node.
+// Fan-in: N inputs, each one Contribution with a main-segment record of
+// `coeffs` coefficients, racing from every worker into one arena node and
+// added in as the engine's reduction does — the contention shape of a
+// high-in-degree expansion node.
 void BM_LcoFanIn(benchmark::State& state) {
   const int inputs = 4096;
   const std::uint32_t coeffs = static_cast<std::uint32_t>(state.range(0));
   ThreadExecutor ex(1, 4);
   struct Node {
     LcoArena arena;
-    std::vector<std::byte> msg;
+    CoeffVec in;
     CoeffVec acc;
-  } node{LcoArena(ex, 1), {}, {}};
+  } node{LcoArena(ex, 1), CoeffVec(coeffs, cdouble(1.0, -1.0)),
+         CoeffVec(coeffs)};
   const std::uint32_t deg = inputs;
-  const CoeffVec contribution(coeffs, cdouble(1.0, -1.0));
-  append_record(node.msg, Operator::kM2M, PayloadSlot::kMain, 0,
-                contribution.data(), coeffs * sizeof(cdouble), coeffs);
   for (auto _ : state) {
     node.arena.rearm({&deg, 1});
     for (int i = 0; i < inputs; ++i) {
@@ -156,7 +138,13 @@ void BM_LcoFanIn(benchmark::State& state) {
       // One captured pointer keeps the closure in std::function's inline
       // buffer, so the bench times the input, not a closure allocation.
       t.fn = [&node] {
-        node.arena.input(0, [&node] { reduce_records(node.msg, node.acc); });
+        Contribution c;
+        c.add(kSegMain, node.in);
+        node.arena.input(0, [&] {
+          for (const Contribution::Record& r : c.records()) {
+            r.add_to(node.acc.data());
+          }
+        });
       };
       ex.spawn(std::move(t));
     }
@@ -165,9 +153,41 @@ void BM_LcoFanIn(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * inputs);
   state.SetBytesProcessed(state.iterations() * inputs *
-                          static_cast<std::int64_t>(node.msg.size()));
+                          static_cast<std::int64_t>(coeffs * sizeof(cdouble)));
 }
 BENCHMARK(BM_LcoFanIn)->Arg(1)->Arg(55)->Arg(220);
+
+// One resident epoch of the Counting kernel on one worker.  Its operators
+// are pass-through sums, so the time is the engine's own per-edge cost:
+// the input, the reduction and the local tasks' CSR walks.  Items are DAG
+// edges, so 1e9 / items_per_second is ns per edge.
+void BM_CountingEpoch(benchmark::State& state) {
+  constexpr std::size_t kPoints = 20000;
+  const bench::Ensembles e = bench::make_ensembles(Distribution::kCube,
+                                                   kPoints, 1);
+  const std::vector<double> q(kPoints, 1.0);  // every potential is N
+  EvalConfig cfg;
+  cfg.threshold = 10;
+  cfg.localities = 1;
+  cfg.cores_per_locality = 1;
+  auto kernel = make_kernel("counting");
+  EvalPipeline pipe(*kernel, cfg, e.sources, e.targets);
+  pipe.evaluate(q);  // the first epoch instantiates the resident arena
+  std::uint64_t edges = 0;
+  for (auto _ : state) {
+    const EvalResult r = pipe.evaluate(q);
+    if (r.potentials.front() != static_cast<double>(kPoints)) {
+      state.SkipWithError("counting potential is not N");
+      break;
+    }
+    edges = r.dag.total_edges;
+    benchmark::DoNotOptimize(r.potentials.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(edges));
+  state.counters["dag_edges"] = static_cast<double>(edges);
+}
+BENCHMARK(BM_CountingEpoch)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Fan-out: the input that triggers a node spawns its N out-tasks from the
 // worker it runs on, as the engine's out-edge walk does — the shape of a

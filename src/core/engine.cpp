@@ -1,7 +1,6 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cstring>
 #include <utility>
@@ -66,12 +65,6 @@ CoeffSpan sized(CoeffSpan v, std::size_t want, CoeffVec& stage) {
   return stage;
 }
 
-// Payload segments (bit positions in a node's segment masks).
-constexpr int kSegMain = 0;  ///< M or L coefficients
-constexpr int kSegPhi = 1;   ///< T potentials (doubles)
-constexpr int kSegOwn = 2;   ///< + direction: Is/It own X
-constexpr int kSegFwd = 8;   ///< + direction: It forward X
-
 /// Segments an edge's contribution writes at its target.
 std::uint16_t segments_written(const DagEdge& e) {
   switch (e.op) {
@@ -95,27 +88,11 @@ std::uint16_t segments_written(const DagEdge& e) {
   return 0;
 }
 
-/// Accumulates `count` elements at `ptr` into `dst`.  Message buffers are
-/// built with every payload at an 8-byte-aligned offset (see WireRecord),
-/// so the reinterpret_cast is well defined.
-template <typename T>
-void accumulate(T* dst, const std::byte* ptr, std::uint32_t count) {
-  AMTFMM_ASSERT(reinterpret_cast<std::uintptr_t>(ptr) % alignof(T) == 0);
-  const T* in = reinterpret_cast<const T*>(ptr);
-  for (std::uint32_t i = 0; i < count; ++i) dst[i] += in[i];
-}
-
 bool is_high(Operator op) {
   return op == Operator::kS2M || op == Operator::kM2M || op == Operator::kM2I;
 }
 
 }  // namespace
-
-std::span<const std::byte> dep_record() {
-  static const WireRecord kDep{0, static_cast<std::uint8_t>(PayloadSlot::kNone),
-                               0, 0, 0};
-  return std::as_bytes(std::span<const WireRecord>(&kDep, 1));
-}
 
 DagEngine::DagEngine(const Dag& dag, const DualTree& dt, const Kernel& kernel,
                      Executor& ex, EngineOptions opt)
@@ -123,6 +100,7 @@ DagEngine::DagEngine(const Dag& dag, const DualTree& dt, const Kernel& kernel,
       dt_(dt),
       kernel_(kernel),
       ex_(ex),
+      trace_(ex.trace()),
       opt_(std::move(opt)),
       arena_(ex, dag.nodes.size()) {}
 
@@ -260,7 +238,7 @@ void DagEngine::instantiate() {
   std::uint32_t slots = 0;
   for (NodeIndex ni = 0; ni < n; ++ni) {
     seg_first_[ni] = slots;
-    slots += static_cast<std::uint32_t>(std::popcount(seg_in_[ni]));
+    slots += count_segments(seg_in_[ni]);
   }
   seg_data_.resize(slots);
   written_.assign(n, 0);
@@ -302,51 +280,20 @@ void DagEngine::seed(NodeIndex ni) {
   }
 }
 
-void DagEngine::input(NodeIndex ni, std::span<const std::byte> msg) {
-  if (arena_.input(ni, [&] { reduce(ni, msg); })) on_node_triggered(ni);
+void DagEngine::input(NodeIndex ni, const Contribution& c) {
+  if (arena_.input(ni, [&] { reduce(ni, c); })) on_node_triggered(ni);
 }
 
-void DagEngine::reduce(NodeIndex ni, std::span<const std::byte> msg) {
+void DagEngine::reduce(NodeIndex ni, const Contribution& c) {
 #ifndef NDEBUG
   check_home(ni);
 #endif
-  std::size_t off = 0;
-  while (off < msg.size()) {
-    WireRecord h;
-    AMTFMM_ASSERT(off + sizeof(h) <= msg.size());
-    std::memcpy(&h, msg.data() + off, sizeof(h));
-    off += sizeof(h);
-    const std::byte* ptr = msg.data() + off;
-    int seg = kSegMain;
-    switch (static_cast<PayloadSlot>(h.slot)) {
-      case PayloadSlot::kNone:
-        continue;
-      case PayloadSlot::kMain:
-        break;
-      case PayloadSlot::kPhi:
-        seg = kSegPhi;
-        break;
-      case PayloadSlot::kOwn:
-      case PayloadSlot::kFwd:
-        AMTFMM_ASSERT(h.dir < 6);
-        seg = (h.slot == static_cast<std::uint8_t>(PayloadSlot::kOwn)
-                   ? kSegOwn
-                   : kSegFwd) +
-              h.dir;
-        break;
-      case PayloadSlot::kPoints:
-        AMTFMM_ASSERT_MSG(false, "kPoints is a parcel section, not an input");
-        break;
-    }
-    const std::size_t elem =
-        seg == kSegPhi ? sizeof(double) : sizeof(cdouble);
-    AMTFMM_ASSERT_MSG(off + h.count * elem <= msg.size(),
-                      "malformed input message");
-    off += h.count * elem;
+  for (const Contribution::Record& r : c.records()) {
+    const int seg = r.seg;
     AMTFMM_ASSERT_MSG((seg_in_[ni] >> seg) & 1u,
                       "input to a segment no in-edge writes");
     const std::size_t len = segment_len(ni, seg);
-    AMTFMM_ASSERT_MSG(h.count == len, "input segment length mismatch");
+    AMTFMM_ASSERT_MSG(r.count == len, "input segment length mismatch");
     auto& data = seg_data_[segment_slot(ni, seg)];
     if (!((written_[ni] >> seg) & 1u)) {
       // First record of this segment: zeroed storage, two potentials to a
@@ -354,12 +301,7 @@ void DagEngine::reduce(NodeIndex ni, std::span<const std::byte> msg) {
       data = std::make_unique<cdouble[]>(seg == kSegPhi ? (len + 1) / 2 : len);
       written_[ni] = static_cast<std::uint16_t>(written_[ni] | (1u << seg));
     }
-    if (seg == kSegPhi) {
-      // A cdouble is two doubles ([complex.numbers]).
-      accumulate(reinterpret_cast<double*>(data.get()), ptr, h.count);
-    } else {
-      accumulate(data.get(), ptr, h.count);
-    }
+    r.add_to(data.get());
   }
 }
 
@@ -373,11 +315,6 @@ std::size_t DagEngine::segment_len(NodeIndex ni, int seg) const {
   // own[d] at the node's level; fwd[d] (It only) at the child quadrature
   // level.
   return kernel_.x_count(n.level + (seg >= kSegFwd ? 1 : 0));
-}
-
-std::size_t DagEngine::segment_slot(NodeIndex ni, int seg) const {
-  const unsigned below = seg_in_[ni] & ((1u << seg) - 1u);
-  return seg_first_[ni] + static_cast<std::size_t>(std::popcount(below));
 }
 
 CoeffSpan DagEngine::segment_view(NodeIndex ni, int seg) const {
@@ -399,7 +336,7 @@ void DagEngine::release(NodeIndex ni) {
 
 void DagEngine::free_payload(NodeIndex ni) {
   const std::size_t first = seg_first_[ni];
-  const auto count = static_cast<std::size_t>(std::popcount(seg_in_[ni]));
+  const std::size_t count = count_segments(seg_in_[ni]);
   for (std::size_t k = first; k < first + count; ++k) seg_data_[k].reset();
 }
 
@@ -447,10 +384,13 @@ void DagEngine::spawn_edge_tasks(NodeIndex ni) {
   }
   const bool compute = !opt_.cost;
 
-  // Bucket out edges: local ones (possibly split by priority), one eval
-  // parcel per remote locality, and per-edge contribution parcels for the
-  // source-computed operators.
-  std::vector<std::uint32_t> local_low, local_high, contrib;
+  // Classify out edges: local ones run from the CSR range in one task per
+  // priority class; remote ones are bucketed into one eval parcel per
+  // remote locality, or per-edge contribution parcels for the
+  // source-computed operators.  The buckets allocate only for nodes that
+  // have such edges.
+  std::uint32_t local[2] = {0, 0};  // local edges by class: low, high
+  std::vector<std::uint32_t> contrib;
   std::vector<std::pair<std::uint32_t, std::vector<std::uint32_t>>> remote;
   auto remote_bucket = [&](std::uint32_t loc) -> std::vector<std::uint32_t>& {
     for (auto& [l, v] : remote) {
@@ -470,8 +410,7 @@ void DagEngine::spawn_edge_tasks(NodeIndex ni) {
     }
     const std::uint32_t tloc = dag_.nodes[edge.target].locality;
     if (tloc == n.locality) {
-      (opt_.split_priority && is_high(edge.op) ? local_high : local_low)
-          .push_back(e);
+      ++local[opt_.split_priority && is_high(edge.op) ? 1 : 0];
     } else if (source_computed(edge.op)) {
       contrib.push_back(e);
     } else {
@@ -479,32 +418,10 @@ void DagEngine::spawn_edge_tasks(NodeIndex ni) {
     }
   }
 
-  auto cost_items = [&](std::span<const std::uint32_t> ids) {
-    std::vector<CostItem> items;
-    items.reserve(ids.size());
-    for (const std::uint32_t e : ids) {
-      const DagEdge& edge = dag_.edges[e];
-      items.push_back(CostItem{static_cast<std::uint8_t>(edge.op),
-                               opt_.cost->cost(edge.op, edge.cost_metric), e});
-    }
-    return items;
-  };
-
-  auto make_local_task = [&](std::vector<std::uint32_t> ids, bool high) {
-    Task t;
-    t.locality = n.locality;
-    t.high_priority = high;
-    if (compute) {
-      t.fn = [this, ni, ids = std::move(ids)] { process_local(ni, ids); };
-    } else {
-      t.items = cost_items(ids);
-      t.fn = [this, ids = std::move(ids)] {
-        for (const std::uint32_t e : ids) {
-          input(dag_.edges[e].target, dep_record());
-        }
-      };
-    }
-    return t;
+  auto cost_item = [&](std::uint32_t e) {
+    const DagEdge& edge = dag_.edges[e];
+    return CostItem{static_cast<std::uint8_t>(edge.op),
+                    opt_.cost->cost(edge.op, edge.cost_metric), e};
   };
 
   // Serialize eval parcels before any consumer can release the payload
@@ -523,24 +440,45 @@ void DagEngine::spawn_edge_tasks(NodeIndex ni) {
         serialize_parcel(ni, ids));
     const std::uint64_t bytes = parcel_wire_bytes(ni, ids);
     AMTFMM_ASSERT(!compute || t.net_payload->size() == bytes);
-    if (!compute) t.items = cost_items(ids);
+    if (!compute) {
+      t.items.reserve(ids.size());
+      for (const std::uint32_t e : ids) t.items.push_back(cost_item(e));
+    }
     parcels.emplace_back(bytes, std::move(t));
   }
 
   const bool has_payload = compute && n.kind != NodeKind::kS;
   if (has_payload) {
-    const int consumers = static_cast<int>(!local_high.empty()) +
-                          static_cast<int>(!local_low.empty()) +
+    const int consumers = static_cast<int>(local[1] != 0) +
+                          static_cast<int>(local[0] != 0) +
                           static_cast<int>(contrib.size());
     retain(ni, consumers + 1);
   }
 
-  if (!local_high.empty()) {
-    ex_.spawn(make_local_task(std::move(local_high), true));
-  }
-  if (!local_low.empty()) {
-    ex_.spawn(make_local_task(std::move(local_low), false));
-  }
+  // A local task captures only (node, class), which std::function keeps
+  // in its inline buffer.
+  auto spawn_local = [&](bool high) {
+    Task t;
+    t.locality = n.locality;
+    t.high_priority = high;
+    if (compute) {
+      t.fn = [this, ni, high] { process_local(ni, high); };
+    } else {
+      t.items.reserve(local[high ? 1 : 0]);
+      for_local_edges(ni, high, [&](std::uint32_t e) {
+        t.items.push_back(cost_item(e));
+      });
+      t.fn = [this, ni, high] {
+        const Contribution none;
+        for_local_edges(ni, high, [&](std::uint32_t e) {
+          input(dag_.edges[e].target, none);
+        });
+      };
+    }
+    ex_.spawn(std::move(t));
+  };
+  if (local[1] != 0) spawn_local(true);
+  if (local[0] != 0) spawn_local(false);
 
   for (const std::uint32_t e : contrib) {
     const DagEdge& edge = dag_.edges[e];
@@ -558,7 +496,7 @@ void DagEngine::spawn_edge_tasks(NodeIndex ni) {
       t.locality = tloc;
       t.net_kind = kNetKindContribution;
       t.net_payload = contribution_payload(edge, 0);
-      t.items = cost_items(std::span<const std::uint32_t>(&e, 1));
+      t.items = {cost_item(e)};
       send_parcel(n.locality, contribution_wire_bytes(edge), std::move(t));
     }
   }
@@ -566,6 +504,17 @@ void DagEngine::spawn_edge_tasks(NodeIndex ni) {
   for (auto& [bytes, t] : parcels) send_parcel(n.locality, bytes, std::move(t));
 
   if (has_payload) release(ni);
+}
+
+template <class F>
+void DagEngine::for_local_edges(NodeIndex ni, bool high, F&& f) const {
+  const DagNode& n = dag_.nodes[ni];
+  for (std::uint32_t e = n.first_edge; e < n.first_edge + n.num_edges; ++e) {
+    const DagEdge& edge = dag_.edges[e];
+    if (dag_.nodes[edge.target].locality != n.locality) continue;
+    if (opt_.split_priority && is_high(edge.op) != high) continue;
+    f(e);
+  }
 }
 
 simd::P2PBatch DagEngine::P2PScratch::batch(std::span<const Vec3> src_pts,
@@ -616,27 +565,25 @@ simd::P2PBatch DagEngine::P2PScratch::batch(std::span<const Vec3> src_pts,
   return out;
 }
 
-void DagEngine::process_local(NodeIndex ni,
-                              std::span<const std::uint32_t> edge_ids) {
+void DagEngine::process_local(NodeIndex ni, bool high) {
   const DagNode& n = dag_.nodes[ni];
   const SourceView src = local_view(ni);
-  auto msg = ScratchArena::local().bytes();
-  P2PScratch p2p;
-  for (const std::uint32_t e : edge_ids) {
+  TaskScratch scratch(ScratchArena::local());
+  for_local_edges(ni, high, [&](std::uint32_t e) {
     const DagEdge& edge = dag_.edges[e];
+    Contribution c;
     {
-      ScopedTrace st(ex_, static_cast<std::uint8_t>(edge.op), e);
-      msg->clear();
-      apply_edge(ni, edge, src, p2p, *msg);
+      ScopedTrace st(ex_, trace_, static_cast<std::uint8_t>(edge.op), e);
+      apply_edge(ni, edge, src, scratch, c);
     }
-    input(edge.target, {msg->data(), msg->size()});
-  }
+    input(edge.target, c);
+  });
   if (n.kind != NodeKind::kS) release(ni);
 }
 
 void DagEngine::apply_edge(NodeIndex from, const DagEdge& e,
-                           const SourceView& src, P2PScratch& p2p,
-                           std::vector<std::byte>& msg) {
+                           const SourceView& src, TaskScratch& s,
+                           Contribution& c) {
   auto in_source_tree = [](const DagNode& n) {
     return n.kind == NodeKind::kS || n.kind == NodeKind::kM ||
            n.kind == NodeKind::kIs;
@@ -658,89 +605,82 @@ void DagEngine::apply_edge(NodeIndex from, const DagEdge& e,
     tgt_pts = std::span<const Vec3>(pts).subspan(tbox.first, tbox.count);
   }
 
-  auto coeffs = ScratchArena::local().coeffs();
-  auto append_main = [&] {
-    append_record(msg, e.op, PayloadSlot::kMain, 0, coeffs->data(),
-                  coeffs->size() * sizeof(cdouble),
-                  static_cast<std::uint32_t>(coeffs->size()));
-  };
-
+  CoeffVec& coeffs = *s.coeffs;
+  std::vector<double>& phi = *s.reals;
   switch (e.op) {
     case Operator::kS2M: {
-      coeffs->clear();
-      kernel_.s2m(src.pts, src.q, tbox.cube.center(), tbox.level, *coeffs);
-      append_main();
+      kernel_.s2m(src.pts, src.q, tbox.cube.center(), tbox.level, coeffs);
+      c.add(kSegMain, coeffs);
       break;
     }
     case Operator::kM2M: {
-      coeffs->assign(kernel_.m_count(tbox.level), cdouble{});
+      coeffs.assign(kernel_.m_count(tbox.level), cdouble{});
       kernel_.m2m_acc(src.main, fbox.cube.center(), tbox.cube.center(),
-                      fbox.level, *coeffs);
-      append_main();
+                      fbox.level, coeffs);
+      c.add(kSegMain, coeffs);
       break;
     }
     case Operator::kM2L: {
-      coeffs->assign(kernel_.l_count(tbox.level), cdouble{});
+      coeffs.assign(kernel_.l_count(tbox.level), cdouble{});
       kernel_.m2l_acc(src.main, fbox.cube.center(), tbox.cube.center(),
-                      tbox.level, *coeffs);
-      append_main();
+                      tbox.level, coeffs);
+      c.add(kSegMain, coeffs);
       break;
     }
     case Operator::kS2L: {
-      coeffs->assign(kernel_.l_count(tbox.level), cdouble{});
-      kernel_.s2l_acc(src.pts, src.q, tbox.cube.center(), tbox.level,
-                      *coeffs);
-      append_main();
+      coeffs.assign(kernel_.l_count(tbox.level), cdouble{});
+      kernel_.s2l_acc(src.pts, src.q, tbox.cube.center(), tbox.level, coeffs);
+      c.add(kSegMain, coeffs);
       break;
     }
     case Operator::kM2T: {
-      auto phi = ScratchArena::local().reals();
-      phi->assign(tbox.count, 0.0);
+      phi.assign(tbox.count, 0.0);
       for (std::uint32_t i = 0; i < tbox.count; ++i) {
-        (*phi)[i] += kernel_.m2t(src.main, fbox.cube.center(),
-                                 fbox.level, tgt_pts[i]);
+        phi[i] += kernel_.m2t(src.main, fbox.cube.center(), fbox.level,
+                              tgt_pts[i]);
       }
-      append_record(msg, e.op, PayloadSlot::kPhi, 0, phi->data(),
-                    phi->size() * sizeof(double),
-                    static_cast<std::uint32_t>(phi->size()));
+      c.add_phi(phi);
       break;
     }
     case Operator::kL2L: {
-      coeffs->assign(kernel_.l_count(tbox.level), cdouble{});
+      coeffs.assign(kernel_.l_count(tbox.level), cdouble{});
       kernel_.l2l_acc(src.main, fbox.cube.center(), tbox.cube.center(),
-                      tbox.level, *coeffs);
-      append_main();
+                      tbox.level, coeffs);
+      c.add(kSegMain, coeffs);
       break;
     }
     case Operator::kL2T: {
-      auto phi = ScratchArena::local().reals();
-      phi->assign(tbox.count, 0.0);
+      phi.assign(tbox.count, 0.0);
       for (std::uint32_t i = 0; i < tbox.count; ++i) {
-        (*phi)[i] += kernel_.l2t(src.main, fbox.cube.center(),
-                                 fbox.level, tgt_pts[i]);
+        phi[i] += kernel_.l2t(src.main, fbox.cube.center(), fbox.level,
+                              tgt_pts[i]);
       }
-      append_record(msg, e.op, PayloadSlot::kPhi, 0, phi->data(),
-                    phi->size() * sizeof(double),
-                    static_cast<std::uint32_t>(phi->size()));
+      c.add_phi(phi);
       break;
     }
     case Operator::kS2T: {
       // Leaf near field: SoA-staged batch through the dispatched SIMD
       // kernels (sources gathered once per task, targets per edge).
-      const simd::P2PBatch b = p2p.batch(src.pts, src.q, tgt_pts);
+      const simd::P2PBatch b = s.p2p.batch(src.pts, src.q, tgt_pts);
       kernel_.s2t_batch(b);
-      append_record(msg, e.op, PayloadSlot::kPhi, 0, b.phi,
-                    b.nt * sizeof(double), static_cast<std::uint32_t>(b.nt));
+      c.add_phi({b.phi, b.nt});
       break;
     }
     case Operator::kM2I: {
-      // One record per direction; still one input (one edge).
-      for (std::uint8_t d = 0; d < 6; ++d) {
-        coeffs->clear();
-        kernel_.m2i(src.main, fbox.level, kAllAxes[d], *coeffs);
-        append_record(msg, e.op, PayloadSlot::kOwn, d, coeffs->data(),
-                      coeffs->size() * sizeof(cdouble),
-                      static_cast<std::uint32_t>(coeffs->size()));
+      // One record per direction, all six in the coefficient buffer; still
+      // one input (one edge).
+      auto dir = ScratchArena::local().coeffs();
+      std::array<std::size_t, 7> off{};
+      coeffs.clear();
+      for (std::size_t d = 0; d < 6; ++d) {
+        kernel_.m2i(src.main, fbox.level, kAllAxes[d], *dir);
+        coeffs.insert(coeffs.end(), dir->begin(), dir->end());
+        off[d + 1] = coeffs.size();
+      }
+      const CoeffSpan all = coeffs;
+      for (std::size_t d = 0; d < 6; ++d) {
+        c.add(kSegOwn + static_cast<int>(d),
+              all.subspan(off[d], off[d + 1] - off[d]));
       }
       break;
     }
@@ -751,22 +691,19 @@ void DagEngine::apply_edge(NodeIndex from, const DagEdge& e,
       const auto d = static_cast<std::size_t>(e.dir);
       const CoeffSpan in = (fn.kind == NodeKind::kIs) ? src.own[d] : src.fwd[d];
       const Vec3 offset = tbox.cube.center() - fbox.cube.center();
-      coeffs->assign(kernel_.x_count(qlevel), cdouble{});
-      kernel_.i2i_acc(in, kAllAxes[d], offset, qlevel, *coeffs);
-      append_record(msg, e.op,
-                    e.slot == 1 ? PayloadSlot::kFwd : PayloadSlot::kOwn,
-                    e.dir, coeffs->data(), coeffs->size() * sizeof(cdouble),
-                    static_cast<std::uint32_t>(coeffs->size()));
+      coeffs.assign(kernel_.x_count(qlevel), cdouble{});
+      kernel_.i2i_acc(in, kAllAxes[d], offset, qlevel, coeffs);
+      c.add((e.slot == 1 ? kSegFwd : kSegOwn) + e.dir, coeffs);
       break;
     }
     case Operator::kI2L: {
-      coeffs->assign(kernel_.l_count(tbox.level), cdouble{});
+      coeffs.assign(kernel_.l_count(tbox.level), cdouble{});
       for (std::size_t d = 0; d < 6; ++d) {
         if (!src.own[d].empty()) {
-          kernel_.i2l_acc(src.own[d], kAllAxes[d], fbox.level, *coeffs);
+          kernel_.i2l_acc(src.own[d], kAllAxes[d], fbox.level, coeffs);
         }
       }
-      append_main();
+      c.add(kSegMain, coeffs);
       break;
     }
   }
@@ -923,7 +860,8 @@ void DagEngine::process_parcel(const std::vector<std::byte>& buf) {
   }
   std::size_t off = sizeof(h) + sizeof(std::uint32_t) * h.num_edges;
   if (opt_.cost) {
-    for (const std::uint32_t e : ids) input(dag_.edges[e].target, dep_record());
+    const Contribution none;
+    for (const std::uint32_t e : ids) input(dag_.edges[e].target, none);
     return;
   }
 
@@ -969,8 +907,7 @@ void DagEngine::process_parcel(const std::vector<std::byte>& buf) {
         AMTFMM_ASSERT(sh.dir < 6);
         kernel_.unpack_x(payload, n.level + 1, fwd[sh.dir]);
         break;
-      case PayloadSlot::kPhi:
-      case PayloadSlot::kNone:
+      default:
         AMTFMM_ASSERT_MSG(false, "unexpected parcel section slot");
         break;
     }
@@ -986,16 +923,15 @@ void DagEngine::process_parcel(const std::vector<std::byte>& buf) {
   src.pts = pts;
   src.q = q;
 
-  auto msg = ScratchArena::local().bytes();
-  P2PScratch p2p;
+  TaskScratch scratch(ScratchArena::local());
   for (const std::uint32_t e : ids) {
     const DagEdge& edge = dag_.edges[e];
+    Contribution c;
     {
-      ScopedTrace st(ex_, static_cast<std::uint8_t>(edge.op), e);
-      msg->clear();
-      apply_edge(h.source, edge, src, p2p, *msg);
+      ScopedTrace st(ex_, trace_, static_cast<std::uint8_t>(edge.op), e);
+      apply_edge(h.source, edge, src, scratch, c);
     }
-    input(edge.target, {msg->data(), msg->size()});
+    input(edge.target, c);
   }
 }
 
@@ -1016,7 +952,7 @@ void DagEngine::send_contribution(NodeIndex ni, std::uint32_t edge_id) {
   auto out = ScratchArena::local().coeffs();
   out->assign(kernel_.l_count(tbox.level), cdouble{});
   {
-    ScopedTrace st(ex_, static_cast<std::uint8_t>(e.op), edge_id);
+    ScopedTrace st(ex_, trace_, static_cast<std::uint8_t>(e.op), edge_id);
     if (e.op == Operator::kS2L) {
       kernel_.s2l_acc(src.pts, src.q, tbox.cube.center(), tbox.level, *out);
     } else {
@@ -1049,7 +985,7 @@ void DagEngine::process_contribution(const std::vector<std::byte>& buf) {
   AMTFMM_ASSERT_MSG(h.target < dag_.nodes.size(),
                     "contribution parcel: target node out of range");
   if (opt_.cost) {
-    input(h.target, dep_record());
+    input(h.target, Contribution{});
     return;
   }
   AMTFMM_ASSERT(buf.size() > sizeof(h));
@@ -1059,12 +995,9 @@ void DagEngine::process_contribution(const std::vector<std::byte>& buf) {
   kernel_.unpack_l({buf.data() + sizeof(h), buf.size() - sizeof(h)}, tn.level,
                    *full);
 
-  auto msg = ScratchArena::local().bytes();
-  msg->clear();
-  append_record(*msg, static_cast<Operator>(h.op), PayloadSlot::kMain, 0,
-                full->data(), full->size() * sizeof(cdouble),
-                static_cast<std::uint32_t>(full->size()));
-  input(h.target, {msg->data(), msg->size()});
+  Contribution c;
+  c.add(kSegMain, *full);
+  input(h.target, c);
 }
 
 void DagEngine::finalize_target(NodeIndex ni) {

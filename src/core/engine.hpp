@@ -2,7 +2,6 @@
 
 #include <array>
 #include <atomic>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <span>
@@ -13,52 +12,75 @@
 #include "math/coeffs.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/lco_arena.hpp"
+#include "support/error.hpp"
 #include "support/scratch_arena.hpp"
 
 namespace amtfmm {
 
-/// Which accumulator of a node's payload a wire record targets.  kPoints
-/// appears only in parcel section headers (source-point shipping), never in
-/// input records; kNone is the cost-only dependency record.
+/// Which accumulator of a node's payload a parcel section serializes.  The
+/// values travel in SectionHeader::slot.
 enum class PayloadSlot : std::uint8_t {
   kMain = 0,    ///< M or L coefficients
   kOwn = 1,     ///< per-direction outgoing / incoming X (dir selects axis)
   kFwd = 2,     ///< per-direction forward (merge) X accumulator
-  kPhi = 3,     ///< target potential accumulators (doubles)
-  kPoints = 4,  ///< source points + charges (parcel sections only)
-  kNone = 5,    ///< dependency-only record (cost mode)
+  kPoints = 4,  ///< source points + charges
 };
 
-/// Fixed 8-byte header of one record in an input message or one section
-/// of a parcel.  An input message is a sequence of (WireRecord, payload)
-/// pairs; `count` is the element count of the payload (cdouble for
-/// coefficient slots, double for kPhi, 0 for kNone).  Payload sizes are
-/// multiples of 8 bytes, so every record header within a message stays
-/// 8-byte aligned.
-struct WireRecord {
-  std::uint8_t op;    ///< Operator that produced the contribution
-  std::uint8_t slot;  ///< PayloadSlot
-  std::uint8_t dir;   ///< Axis index for kOwn/kFwd
-  std::uint8_t pad = 0;
-  std::uint32_t count;  ///< payload element count
+/// A node's payload segments, one bit each in its segment masks: main (M
+/// or L coefficients), phi (a T node's potentials, in doubles), own[6]
+/// (Is, It) and fwd[6] (It), each indexed by direction.
+inline constexpr int kSegMain = 0;
+inline constexpr int kSegPhi = 1;
+inline constexpr int kSegOwn = 2;  ///< + direction
+inline constexpr int kSegFwd = 8;  ///< + direction
+
+/// What one DAG edge adds to its target node: up to six records of
+/// (segment, element count, data), summed into the target's segments in
+/// record order.  M->I fills one record per direction, every other
+/// operator one, and a cost-only input none.  The data lives in the
+/// producing task's scratch and is valid only during the DagEngine input
+/// that takes it, on the producing thread: a Contribution never crosses a
+/// thread or a locality and is never serialized (remote edges travel as
+/// parcels).
+class Contribution {
+ public:
+  struct Record {
+    const void* data;     ///< doubles for kSegPhi, cdoubles otherwise
+    std::uint32_t count;  ///< elements at data
+    std::uint8_t seg;
+
+    /// Adds the record element by element into `dst`, a segment of
+    /// `count` elements (doubles for kSegPhi, two to a cdouble).
+    void add_to(cdouble* dst) const {
+      if (seg == kSegPhi) {
+        // A cdouble is two doubles ([complex.numbers]).
+        auto* out = reinterpret_cast<double*>(dst);
+        const auto* in = static_cast<const double*>(data);
+        for (std::uint32_t i = 0; i < count; ++i) out[i] += in[i];
+      } else {
+        const auto* in = static_cast<const cdouble*>(data);
+        for (std::uint32_t i = 0; i < count; ++i) dst[i] += in[i];
+      }
+    }
+  };
+  static constexpr std::size_t kMaxRecords = 6;
+
+  void add(int seg, std::span<const cdouble> v) {
+    push(seg, v.data(), v.size());
+  }
+  void add_phi(std::span<const double> v) { push(kSegPhi, v.data(), v.size()); }
+  std::span<const Record> records() const { return {records_.data(), size_}; }
+
+ private:
+  void push(int seg, const void* data, std::size_t count) {
+    AMTFMM_ASSERT(size_ < kMaxRecords && seg >= kSegMain && seg < kSegFwd + 6);
+    records_[size_++] = Record{data, static_cast<std::uint32_t>(count),
+                               static_cast<std::uint8_t>(seg)};
+  }
+
+  std::array<Record, kMaxRecords> records_{};
+  std::size_t size_ = 0;
 };
-static_assert(sizeof(WireRecord) == 8);
-
-/// Appends one (header, payload) record to an input message buffer.
-inline void append_record(std::vector<std::byte>& buf, Operator op,
-                          PayloadSlot slot, std::uint8_t dir, const void* data,
-                          std::size_t bytes, std::uint32_t count) {
-  WireRecord h{static_cast<std::uint8_t>(op),
-               static_cast<std::uint8_t>(slot), dir, 0, count};
-  const std::size_t off = buf.size();
-  buf.resize(off + sizeof(h) + bytes);
-  std::memcpy(buf.data() + off, &h, sizeof(h));
-  if (bytes != 0) std::memcpy(buf.data() + off + sizeof(h), data, bytes);
-}
-
-/// The 8-byte dependency-only input used in cost-only mode: the countdown
-/// runs, no data moves.
-std::span<const std::byte> dep_record();
 
 /// How the implicit DAG is driven.
 struct EngineOptions {
@@ -76,13 +98,14 @@ struct EngineOptions {
 /// DAG, and DagNode::locality is the node's home.  The node's trigger-once
 /// countdown lives in the engine's LcoArena; its expansion accumulators
 /// are payload segments, each alive from its first record to the node's
-/// last consumer.  Inputs carry serialized wire records (operator tag,
-/// payload slot/direction, coefficients) and reduce into the segments
+/// last consumer.  An input is a Contribution (typed records pointing into
+/// the producing task's scratch) that reduces straight into the segments
 /// under the node's arena stripe; the final input triggers the node and
 /// the engine walks its out-edge CSR:
 ///
-///  - local edges are bucketed into tasks that compute each contribution in
-///    the *target's* basis and input it into the target node,
+///  - local edges run in one task per priority class, which walks the
+///    node's CSR range, computes each contribution in the *target's* basis
+///    and inputs it into the target node,
 ///  - edges to a remote locality are coalesced into one *eval parcel* per
 ///    destination carrying the serialized source expansion plus the edge
 ///    ids; the destination deserializes and evaluates the operators there
@@ -96,7 +119,7 @@ struct EngineOptions {
 /// kind's handler, so Executor::bytes_sent() equals the true serialized
 /// wire bytes (wire_bytes() cross-checks this).  In cost-only mode the
 /// same parcels carry a prefix of that format (headers and edge ids) and
-/// the dataflow runs with 8-byte dependency records and modelled task
+/// the dataflow runs with empty contributions and modelled task
 /// durations; parcel sizes come from the same wire-format arithmetic, so
 /// simulated bytes match real bytes by construction.
 class DagEngine {
@@ -205,6 +228,18 @@ class DagEngine {
     std::optional<Buffers> b_;
   };
 
+  /// Scratch an edge-processing task leases once and shares across its
+  /// edges: the coefficient and real buffers its contributions point
+  /// into, and the S->T staging.  An edge's contribution is consumed by
+  /// its input before the next edge overwrites the buffers.
+  struct TaskScratch {
+    explicit TaskScratch(ScratchArena& a)
+        : coeffs(a.coeffs()), reals(a.reals()) {}
+    ScratchLease<cdouble> coeffs;
+    ScratchLease<double> reals;
+    P2PScratch p2p;
+  };
+
   void instantiate();
   /// Re-arms the arena to the DAG's in-degrees and clears the per-epoch
   /// payload state.  Runs between drains (quiescent); the caller's barrier
@@ -217,31 +252,45 @@ class DagEngine {
   /// finalization of a target no source reaches; other nodes wait for
   /// their inputs.
   void seed(NodeIndex ni);
-  /// Applies one input message to node `ni`; fires the node when it was
-  /// the last one.
-  void input(NodeIndex ni, std::span<const std::byte> msg);
-  /// Reduces an input message into the node's payload, allocating each
-  /// segment on its first record.  Runs under the node's stripe.
-  void reduce(NodeIndex ni, std::span<const std::byte> msg);
+  /// Applies one input to node `ni`; fires the node when it was the last
+  /// one.
+  void input(NodeIndex ni, const Contribution& c);
+  /// Adds a contribution into the node's payload, allocating each segment
+  /// on its first record.  Runs under the node's stripe.
+  void reduce(NodeIndex ni, const Contribution& c);
   /// Trigger-time work, on the node's home locality.
   void on_node_triggered(NodeIndex ni);
   void spawn_edge_tasks(NodeIndex ni);
-  void process_local(NodeIndex ni, std::span<const std::uint32_t> edge_ids);
-  /// Computes the contribution of one edge in the target's basis and
-  /// appends it to `msg` as wire records.  `p2p` carries the task-scoped
-  /// SoA staging shared by the task's S->T edges.
+  /// Calls f(edge id) for every out-edge of `ni` that its local task of
+  /// priority class `high` runs, in CSR order: edges whose target is on
+  /// `ni`'s locality and, under split_priority, of that class.
+  template <class F>
+  void for_local_edges(NodeIndex ni, bool high, F&& f) const;
+  /// Runs the local edges of one priority class of a fired node.
+  void process_local(NodeIndex ni, bool high);
+  /// Computes the contribution of one edge in the target's basis into the
+  /// task's scratch and records it in `c`.
   void apply_edge(NodeIndex from, const DagEdge& e, const SourceView& src,
-                  P2PScratch& p2p, std::vector<std::byte>& msg);
+                  TaskScratch& s, Contribution& c);
   void finalize_target(NodeIndex ni);
 
-  /// A node's payload is up to 14 segments, one bit each in its segment
-  /// masks: main (M, L), phi (T), own[6] (Is, It), fwd[6] (It).
+  /// A node's payload is up to 14 segments (kSegMain ... kSegFwd + 5).
   /// Element count of segment `seg` of node `ni` (doubles for phi,
   /// cdoubles otherwise): fixed by the node's kind and level, and for a
   /// target by its box's point count.
   std::size_t segment_len(NodeIndex ni, int seg) const;
+  /// Set bits of a segment mask, in plain arithmetic: std::popcount is a
+  /// libgcc call on baseline x86-64.
+  static constexpr unsigned count_segments(unsigned mask) {
+    mask = mask - ((mask >> 1) & 0x5555u);
+    mask = (mask & 0x3333u) + ((mask >> 2) & 0x3333u);
+    mask = (mask + (mask >> 4)) & 0x0f0fu;
+    return (mask + (mask >> 8)) & 0x1fu;
+  }
   /// The slot in seg_data_ of segment `seg`, which seg_in_[ni] must hold.
-  std::size_t segment_slot(NodeIndex ni, int seg) const;
+  std::size_t segment_slot(NodeIndex ni, int seg) const {
+    return seg_first_[ni] + count_segments(seg_in_[ni] & ((1u << seg) - 1u));
+  }
   /// The written segment `seg` of `ni`'s payload, or an empty span.
   CoeffSpan segment_view(NodeIndex ni, int seg) const;
   /// Pins a payload reader: retain once per spawned consumer; the last
@@ -269,6 +318,9 @@ class DagEngine {
   const DualTree& dt_;
   const Kernel& kernel_;
   Executor& ex_;
+  /// The executor's trace sink, looked up once: a span costs one inline
+  /// load and branch while tracing is off.
+  TraceSink& trace_;
   EngineOptions opt_;
   LcoArena arena_;
   // Per-node arrays, indexed by NodeIndex (filled by instantiate()).

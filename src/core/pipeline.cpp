@@ -214,9 +214,12 @@ PipelineUpdateStats EvalPipeline::apply_update(bool source_side,
   }
   st.dirty_leaves = r->dirty_leaves;
   // Structure preserved: the DAG topology and the resident LCO arena are
-  // reused; only the count-dependent annotations change.
-  refresh_dag_metrics(model_.dag, model_.tree);
-  model_.dag_stats.reset();
+  // reused; only the count-dependent annotations change, and only when
+  // some box's count did (a move inside its own leaf leaves them current).
+  if (r->counts_changed) {
+    refresh_dag_metrics(model_.dag, model_.tree);
+    model_.dag_stats.reset();
+  }
   auto& ctr = ex_->counters();
   if (ctr.enabled() && r->dirty_leaves > 0) {
     ctr.add(0, ex_->runtime().ids().serve_dirty_leaves, r->dirty_leaves);

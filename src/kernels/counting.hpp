@@ -23,6 +23,24 @@ class CountingKernel final : public Kernel {
 
   double direct(const Vec3&, const Vec3&) const override { return 1.0; }
 
+  /// direct() is exactly 1, so every target of the batch gains the batch's
+  /// summed charge.  Summed once, in source order from 0.0 as the base
+  /// loop sums it for each target, the result is bit-identical to
+  /// Kernel::s2t_batch without its ns * nt virtual direct() calls.
+  void s2t_batch(const simd::P2PBatch& b) const override {
+    double q = 0.0;
+    for (std::size_t j = 0; j < b.ns; ++j) q += b.sq[j];
+    for (std::size_t i = 0; i < b.nt; ++i) b.phi[i] += q;
+    if (b.ax != nullptr) {
+      // No gradient: the base loop adds a zero acceleration.
+      for (std::size_t i = 0; i < b.nt; ++i) {
+        b.ax[i] += 0.0;
+        b.ay[i] += 0.0;
+        b.az[i] += 0.0;
+      }
+    }
+  }
+
   void s2m(std::span<const Vec3> pts, std::span<const double> q, const Vec3&,
            int, CoeffVec& out) const override {
     out.assign(1, cdouble{});

@@ -200,14 +200,32 @@ int current_worker();
 /// No-op when tracing is disabled or called outside a worker.
 class ScopedTrace {
  public:
-  ScopedTrace(Executor& ex, std::uint8_t cls, std::uint32_t arg = kNoTraceArg);
-  ~ScopedTrace();
+  ScopedTrace(Executor& ex, std::uint8_t cls, std::uint32_t arg = kNoTraceArg)
+      : ScopedTrace(ex, ex.trace(), cls, arg) {}
+  /// `sink` is ex.trace(), looked up once by a caller with a hot loop of
+  /// spans: while tracing is off each costs one inline load and branch.
+  ScopedTrace(Executor& ex, TraceSink& sink, std::uint8_t cls,
+              std::uint32_t arg = kNoTraceArg)
+      : ex_(ex),
+        sink_(sink.enabled() ? &sink : nullptr),
+        cls_(cls),
+        arg_(arg) {
+    if (sink_ != nullptr) t0_ = ex.now();
+  }
+  ~ScopedTrace() {
+    if (sink_ != nullptr) record();
+  }
+  ScopedTrace(const ScopedTrace&) = delete;
+  ScopedTrace& operator=(const ScopedTrace&) = delete;
 
  private:
+  void record();
+
   Executor& ex_;
+  TraceSink* sink_;  ///< null while tracing is off
   std::uint8_t cls_;
   std::uint32_t arg_;
-  double t0_;
+  double t0_ = 0.0;
 };
 
 }  // namespace amtfmm

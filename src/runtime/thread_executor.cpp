@@ -40,16 +40,10 @@ inline void cpu_relax() {
 
 int current_worker() { return tls_worker; }
 
-ScopedTrace::ScopedTrace(Executor& ex, std::uint8_t cls, std::uint32_t arg)
-    : ex_(ex), cls_(cls), arg_(arg),
-      t0_(ex.trace().enabled() ? ex.now() : 0.0) {}
-
-ScopedTrace::~ScopedTrace() {
-  if (!ex_.trace().enabled()) return;
+void ScopedTrace::record() {
   const int w = current_worker();
   if (w < 0) return;
-  ex_.trace().record(static_cast<std::uint32_t>(w), cls_, t0_, ex_.now(),
-                     arg_);
+  sink_->record(static_cast<std::uint32_t>(w), cls_, t0_, ex_.now(), arg_);
 }
 
 ThreadExecutor::ThreadExecutor(int num_localities, int cores_per_locality,

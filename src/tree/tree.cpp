@@ -222,6 +222,8 @@ std::optional<TreeUpdateStats> Tree::update(
       if (c <= 0) return std::nullopt;  // leaf would be pruned
       if (c > threshold_ && b.level < kMaxLevel) return std::nullopt;
       ncount[bi] = static_cast<std::uint32_t>(c);
+      // Internal counts are sums of leaf counts: they change only with one.
+      if (delta[bi] != 0) stats.counts_changed = true;
     } else {
       std::uint64_t c = 0;
       for (BoxIndex ci : b.child) {

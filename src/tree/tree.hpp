@@ -45,6 +45,10 @@ struct TreeUpdateStats {
   std::size_t moved = 0;
   std::size_t inserted = 0;
   std::size_t erased = 0;
+  /// Some box's point count changed; false when every move stayed inside
+  /// its own leaf, so count-derived data (the DAG's byte and cost
+  /// annotations) is still current.
+  bool counts_changed = false;
 };
 
 /// Adaptive octree over one point ensemble (the paper's source or target

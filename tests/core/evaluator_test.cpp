@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/evaluator.hpp"
@@ -140,6 +141,50 @@ TEST(Evaluator, PriorityModeIsNumericallyIdentical) {
     EXPECT_NEAR(a.potentials[i], b.potentials[i],
                 1e-9 * std::abs(a.potentials[i]) + 1e-12);
   }
+}
+
+// Split priority routes each local edge to its class's task by filtering
+// the node's out-edge range.  On Counting the potentials are exact either
+// way, and the split changes no task, fire, parcel or wire byte.
+TEST(Evaluator, SplitPriorityOnCountingIsExactAndCountsMatch) {
+  Rng rng(12);
+  const std::size_t n = 3000;
+  const auto src = generate_points(Distribution::kCube, n, rng);
+  const auto tgt = generate_points(Distribution::kCube, n, rng);
+  std::vector<double> q(n);
+  double total = 0.0;  // small integers: every partial sum is exact
+  for (std::size_t i = 0; i < n; ++i) total += q[i] = 1.0 + i % 3;
+  EvalConfig cfg;
+  cfg.threshold = 10;
+  cfg.localities = 2;
+  cfg.cores_per_locality = 2;
+  cfg.counters = true;
+  Evaluator plain(make_kernel("counting"), cfg);
+  cfg.split_priority = true;
+  Evaluator prio(make_kernel("counting"), cfg);
+  const EvalResult a = plain.evaluate(src, q, tgt);
+  const EvalResult b = prio.evaluate(src, q, tgt);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(a.potentials[i], total) << "target " << i;
+    ASSERT_EQ(b.potentials[i], total) << "target " << i;
+  }
+  for (int op = 0; op < kNumOperators; ++op) {
+    const std::string name =
+        std::string("op.") + to_string(static_cast<Operator>(op)) + ".tasks";
+    EXPECT_EQ(a.counters.value(name), b.counters.value(name)) << name;
+  }
+  auto fires = [](const EvalResult& r) {
+    for (const auto& h : r.counters.histograms) {
+      if (h.name == "lco.input_wait_us") return h.count;
+    }
+    return std::uint64_t{0};
+  };
+  EXPECT_GT(fires(a), 0u);
+  EXPECT_EQ(fires(a), fires(b));
+  EXPECT_GT(a.parcels_sent, 0u);
+  EXPECT_EQ(a.parcels_sent, b.parcels_sent);
+  EXPECT_EQ(a.wire_bytes, b.wire_bytes);
+  EXPECT_EQ(a.bytes_sent, b.bytes_sent);
 }
 
 TEST(Evaluator, TracingCollectsOperatorEvents) {

@@ -357,5 +357,33 @@ TEST(EvalPipeline, EpochDagStatsFollowEveryDagChange) {
   }
 }
 
+/// A move that keeps every box's point count leaves the DAG's annotations
+/// current: the update skips their re-walk and keeps the cached stats.
+TEST(EvalPipeline, InLeafMoveKeepsCachedDagStats) {
+  const Problem p = make_problem(3000, 31);
+  auto kernel = make_kernel("counting");
+  EvalPipeline pipe(*kernel, small_cfg(), p.sources, p.targets);
+  pipe.evaluate(p.charges);
+  ASSERT_TRUE(pipe.model().dag_stats.has_value());
+
+  // The midpoint of two points of one leaf lies in that leaf's cube.
+  const Tree& st = pipe.model().tree.source;
+  PipelineUpdate u;
+  for (const TreeBox& b : st.boxes()) {
+    if (!b.is_leaf() || b.count < 2) continue;
+    const Vec3 a = st.sorted_points()[b.first];
+    const Vec3 c = st.sorted_points()[b.first + 1];
+    u.moves.push_back({st.original_index()[b.first],
+                       {(a.x + c.x) / 2, (a.y + c.y) / 2, (a.z + c.z) / 2}});
+    break;
+  }
+  ASSERT_EQ(u.moves.size(), 1u);
+  const PipelineUpdateStats up = pipe.update_sources(u);
+  ASSERT_FALSE(up.rebuilt);
+  EXPECT_TRUE(pipe.model().dag_stats.has_value());
+  const EvalResult r = pipe.evaluate(p.charges);
+  expect_same_stats(r.dag, pipe.model().dag.stats());
+}
+
 }  // namespace
 }  // namespace amtfmm

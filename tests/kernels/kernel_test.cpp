@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
+#include "kernels/counting.hpp"
 #include "kernels/kernel.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -259,6 +262,72 @@ TEST(CountingKernel, EveryOperatorPreservesTheCount) {
   k->l2l_acc(l, {}, {}, 4, lc);
   EXPECT_DOUBLE_EQ(k->l2t(lc, {}, 4, {0.9, 0.9, 0.9}), 3.0);
   EXPECT_DOUBLE_EQ(k->m2t(mp, {}, 3, {0.9, 0.9, 0.9}), 3.0);
+}
+
+// Counting's batched near field sums the batch's charges once.  With
+// direct() == 1 that is the base class's pair loop bit for bit, for any
+// charges, batch sizes (empty ones included) and accumulator contents.
+TEST(CountingKernel, S2tBatchMatchesPairLoop) {
+  const CountingKernel k;
+  Rng rng(17);
+  const std::size_t sizes[][2] = {{0, 5},  {7, 0},  {0, 0},
+                                  {1, 1},  {13, 9}, {60, 40}};
+  for (const auto& [ns, nt] : sizes) {
+    for (const bool grad : {false, true}) {
+      std::vector<double> sx(ns), sy(ns), sz(ns), sq(ns);
+      for (std::size_t j = 0; j < ns; ++j) {
+        sx[j] = rng.uniform();
+        sy[j] = rng.uniform();
+        sz[j] = rng.uniform();
+        sq[j] = rng.uniform(-1.0, 1.0);
+      }
+      std::vector<double> tx(nt), ty(nt), tz(nt), start(4 * nt);
+      for (std::size_t i = 0; i < nt; ++i) {
+        tx[i] = rng.uniform();
+        ty[i] = rng.uniform();
+        tz[i] = rng.uniform();
+      }
+      for (double& v : start) v = rng.uniform(-2.0, 2.0);
+      if (nt > 0) {
+        // -0.0 + 0.0 is +0.0: phi[0] and ax[0] see whether a zero is added.
+        start[0] = -0.0;
+        start[nt] = -0.0;
+      }
+      // phi, ax, ay, az after one batch, through the override or the base.
+      auto run = [&](bool base) {
+        std::vector<double> acc = start;
+        simd::P2PBatch b;
+        b.tx = tx.data();
+        b.ty = ty.data();
+        b.tz = tz.data();
+        b.nt = nt;
+        b.sx = sx.data();
+        b.sy = sy.data();
+        b.sz = sz.data();
+        b.sq = sq.data();
+        b.ns = ns;
+        b.phi = acc.data();
+        if (grad) {
+          b.ax = acc.data() + nt;
+          b.ay = acc.data() + 2 * nt;
+          b.az = acc.data() + 3 * nt;
+        }
+        if (base) {
+          k.Kernel::s2t_batch(b);
+        } else {
+          k.s2t_batch(b);
+        }
+        return acc;
+      };
+      const std::vector<double> got = run(false);
+      const std::vector<double> want = run(true);
+      ASSERT_EQ(got.size(), want.size());
+      // Bitwise: a zero of the other sign differs.
+      EXPECT_TRUE(got.empty() || std::memcmp(got.data(), want.data(),
+                                             got.size() * sizeof(double)) == 0)
+          << "ns " << ns << " nt " << nt << " grad " << grad;
+    }
+  }
 }
 
 TEST(KernelFactory, RejectsUnknownNames) {

@@ -104,6 +104,7 @@ TEST(TreeUpdate, EmptyUpdateIsAFastPathNoOp) {
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->dirty_leaves, 0u);
   EXPECT_EQ(r->moved, 0u);
+  EXPECT_FALSE(r->counts_changed);
   EXPECT_EQ(e.tree.sorted_keys(), before);
   expect_matches_fresh_build(e.tree, e.pts, e.domain);
 }
@@ -122,6 +123,7 @@ TEST(TreeUpdate, InLeafMovesPreserveStructure) {
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->moved, moves.size());
   EXPECT_GT(r->dirty_leaves, 0u);
+  EXPECT_FALSE(r->counts_changed);
   expect_matches_fresh_build(e.tree, patch(e.pts, moves, {}, {}), e.domain);
 }
 
@@ -162,9 +164,40 @@ TEST(TreeUpdate, RandomizedMoveInsertEraseMatchesRebuild) {
     ASSERT_TRUE(r.has_value()) << "round " << round;
     EXPECT_EQ(r->erased, erased.size());
     EXPECT_EQ(r->inserted, inserted.size());
+    EXPECT_FALSE(r->counts_changed) << "round " << round;
     pts = patch(std::move(pts), moves, erased, inserted);
     expect_matches_fresh_build(e.tree, pts, e.domain);
   }
+}
+
+TEST(TreeUpdate, CrossLeafMoveReportsChangedCounts) {
+  Ensemble e = make_ensemble(4);
+  Rng rng(5);
+  // One point moved between two sibling leaves: their parent's count stays,
+  // so the update is incremental, but both leaf counts change.
+  std::vector<PointMove> moves;
+  for (BoxIndex b = 0; b < e.tree.boxes().size() && moves.empty(); ++b) {
+    for (const BoxIndex from : e.tree.box(b).child) {
+      for (const BoxIndex to : e.tree.box(b).child) {
+        if (from == kNoBox || to == kNoBox || from == to || !moves.empty()) {
+          continue;
+        }
+        const TreeBox& a = e.tree.box(from);
+        const TreeBox& c = e.tree.box(to);
+        if (!a.is_leaf() || !c.is_leaf() || a.count < 2 ||
+            c.count >= static_cast<std::uint32_t>(kThreshold)) {
+          continue;
+        }
+        moves.push_back(
+            {e.tree.original_index()[a.first], inside(c.cube, rng)});
+      }
+    }
+  }
+  ASSERT_EQ(moves.size(), 1u);
+  const auto r = e.tree.update(moves, {}, {});
+  ASSERT_TRUE(r.has_value());
+  EXPECT_TRUE(r->counts_changed);
+  expect_matches_fresh_build(e.tree, patch(e.pts, moves, {}, {}), e.domain);
 }
 
 TEST(TreeUpdate, OutOfDomainMoveFallsBackUntouched) {
